@@ -46,6 +46,7 @@ from .group_builder import (
 from .moebius import (
     MapClass,
     MoebiusMap,
+    NonRealTraceError,
     apply,
     classify,
     compose,
@@ -779,7 +780,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             code, report = run_verify(args.perturb)
             sys.stdout.write(report)
             return code
-    except NonHyperbolicProductError as exc:
+    except (NonHyperbolicProductError, NonRealTraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ALGORITHM
     except ValueError as exc:

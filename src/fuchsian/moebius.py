@@ -9,12 +9,17 @@ sends z to it, and it maps to a/c. Classification is by the trace of the
 determinant-1 normalization: |tr| < 2 elliptic, = 2 parabolic, > 2
 hyperbolic. Non-real normalized traces are rejected, since such maps are
 not isometries of the disk.
+
+The public constructor MoebiusMap(a, b, c, d) validates: it coerces each
+entry to complex and rejects a zero determinant. The internal products
+(compose, normalize, inverse) already hold complex entries and build
+through the private MoebiusMap._make, which skips the coercion but keeps
+the zero-determinant check.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from enum import Enum
 
 # Tolerances for double-precision inputs assembled from closed forms.
@@ -50,18 +55,71 @@ class MapClass(Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-@dataclass(frozen=True)
+class NonRealTraceError(ValueError):
+    """The normalized trace is not real: a numerical breakdown, not bad input."""
+
+
 class MoebiusMap:
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    """Immutable 2x2 complex matrix (a, b; c, d) with nonzero determinant.
+
+    Equality and hashing compare the entries (not projective equality).
+    """
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: complex, b: complex, c: complex, d: complex) -> None:
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+        # A method of its own: perfbench/tracing.py wraps it to time
+        # public constructions as `moebius.construct`.
+        _set_a(self, complex(self.a))
+        _set_b(self, complex(self.b))
+        _set_c(self, complex(self.c))
+        _set_d(self, complex(self.d))
         if self.det == 0:
             raise ValueError("degenerate map: determinant is zero")
+
+    @classmethod
+    def _make(cls, a: complex, b: complex, c: complex, d: complex) -> MoebiusMap:
+        """Construct from entries that are already complex."""
+        if a * d - b * c == 0:
+            raise ValueError("degenerate map: determinant is zero")
+        self = _new_object(cls)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (MoebiusMap, (self.a, self.b, self.c, self.d))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d) == (
+            other.a, other.b, other.c, other.d
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(a={self.a!r}, b={self.b!r}, "
+            f"c={self.c!r}, d={self.d!r})"
+        )
 
     @property
     def det(self) -> complex:
@@ -72,12 +130,19 @@ class MoebiusMap:
         return self.a + self.d
 
 
+# The slot descriptors' own setters write past the raising __setattr__
+# and cost less than object.__setattr__ by name.
+_new_object = object.__new__
+_set_a, _set_b, _set_c, _set_d = (
+    MoebiusMap.__dict__[name].__set__ for name in MoebiusMap.__slots__
+)
+
 IDENTITY = MoebiusMap(1, 0, 0, 1)
 
 
 def compose(m1: MoebiusMap, m2: MoebiusMap) -> MoebiusMap:
     """Matrix product m1*m2, realizing the composition m1 after m2."""
-    return MoebiusMap(
+    return MoebiusMap._make(
         m1.a * m2.a + m1.b * m2.c,
         m1.a * m2.b + m1.b * m2.d,
         m1.c * m2.a + m1.d * m2.c,
@@ -107,18 +172,19 @@ def normalize(m: MoebiusMap) -> MoebiusMap:
     if abs(det.imag) <= _DET_REAL_SNAP * abs(det):
         det = complex(det.real, 0.0)
     s = cmath.sqrt(det)
-    return MoebiusMap(m.a / s, m.b / s, m.c / s, m.d / s)
+    return MoebiusMap._make(m.a / s, m.b / s, m.c / s, m.d / s)
 
 
 def classify(m: MoebiusMap) -> MapClass:
     """Trace classification of the normalized map.
 
-    Raises ValueError when the normalized trace is not real to within
-    TRACE_IMAG_TOL (the map is then not a disk isometry up to scale).
+    Raises NonRealTraceError (a ValueError) when the normalized trace is
+    not real to within TRACE_IMAG_TOL (the map is then not a disk isometry
+    up to scale).
     """
     tr = normalize(m).trace
     if abs(tr.imag) > TRACE_IMAG_TOL:
-        raise ValueError(
+        raise NonRealTraceError(
             f"normalized trace {tr:.6g} is not real: no isometry class"
         )
     t = abs(tr.real)
@@ -131,7 +197,7 @@ def classify(m: MoebiusMap) -> MapClass:
 
 def inverse(m: MoebiusMap) -> MoebiusMap:
     """Adjugate matrix: projectively the inverse map (same action)."""
-    return MoebiusMap(m.d, -m.b, -m.c, m.a)
+    return MoebiusMap._make(m.d, -m.b, -m.c, m.a)
 
 
 def projectively_equal(m1: MoebiusMap, m2: MoebiusMap, tol: float = 1e-9) -> bool:

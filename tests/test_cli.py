@@ -232,6 +232,12 @@ def test_exit_code_algorithm_failure(monkeypatch):
     assert cli.main(["generators", "--genus", "2", "--sign", "minus"]) == 3
 
 
+def test_exit_code_numerical_breakdown():
+    # valid input whose surface-group product has a non-real normalized
+    # trace: a numerical failure (3), not bad arguments (2)
+    assert cli.main(["generators", "--genus", "44", "--sign", "plus"]) == 3
+
+
 def test_exit_code_io_failure(tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "f.svg"
     assert cli.main(["render", "--genus", "2", "--sign", "minus",

@@ -1,0 +1,43 @@
+"""Byte pins of command output: sha256 of what `fuchsian` writes.
+
+A change to the arithmetic, the float formatting or the payload layout
+changes these hashes; a refactor that keeps every float bit does not.
+"""
+
+import hashlib
+
+import pytest
+
+from fuchsian import cli
+
+GOLDEN_STDOUT = {
+    ("generators", "--genus", "2", "--sign", "minus"):
+        "2304d9e5722e46e5c9627a10d9326c6e075f211d4fd99d22946ba82aa7591684",
+    ("generators", "--genus", "30", "--sign", "plus", "--fixed", "7"):
+        "ebf5ea29a00540f4cd1a091b0b94669c1b35fc76edfaafc57cbe4fee9098b351",
+    ("whittaker", "--genus", "40"):
+        "23b729a586bf9c09b197ac469bf0f7b6ed0c94c1935a9049f20687ba76e855b8",
+    ("verify",):
+        "61bb08587e19afc190a8d1a266cc47c307d9e404437a8bd182d8515c772c9ec6",
+}
+GOLDEN_RENDER_GENUS_5_PLUS = (
+    "6cfd8fa1af7f02501448166be5fbeff0c4e1a0b4cdab21d5abf3933f082805fa"
+)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=" ".join)
+def test_stdout_bytes_are_pinned(argv, capsys):
+    assert cli.main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert sha256(out.encode("utf-8")) == GOLDEN_STDOUT[argv]
+
+
+def test_render_svg_bytes_are_pinned(tmp_path):
+    out = tmp_path / "genus5.svg"
+    assert cli.main(["render", "--genus", "5", "--sign", "plus",
+                     "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == GOLDEN_RENDER_GENUS_5_PLUS

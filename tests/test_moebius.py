@@ -1,16 +1,20 @@
 """Tests for the Moebius map algebra."""
 
 import cmath
+import copy
 import math
+import pickle
 import random
 
 import pytest
 
 from fuchsian.moebius import (
+    _DET_REAL_SNAP,
     IDENTITY,
     INFINITY,
     MapClass,
     MoebiusMap,
+    NonRealTraceError,
     apply,
     classify,
     compose,
@@ -32,11 +36,83 @@ def random_map(rng: random.Random) -> MoebiusMap:
 
 def test_constructor_coerces_and_rejects_degenerate():
     m = MoebiusMap(1, 0, 0, 2)
-    assert isinstance(m.a, complex)
+    assert all(type(x) is complex for x in (m.a, m.b, m.c, m.d))
     assert m.det == 2
     assert m.trace == 3
     with pytest.raises(ValueError):
         MoebiusMap(1, 2, 2, 4)
+    # the internal constructor skips coercion but not the determinant check
+    with pytest.raises(ValueError):
+        MoebiusMap._make(1 + 0j, 2 + 0j, 2 + 0j, 4 + 0j)
+    with pytest.raises(ValueError):
+        compose(MoebiusMap(1, 0, 0, 0.5**600), MoebiusMap(1, 0, 0, 0.5**600))
+
+
+def test_maps_are_immutable_values():
+    m = MoebiusMap(1, 2j, 3, 4)
+    for name in ("a", "d", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, 0j)
+    with pytest.raises(AttributeError):
+        del m.a
+    assert m.a == 1
+
+    same = MoebiusMap(1 + 0j, 2j, 3.0, 4)
+    assert m == same and hash(m) == hash(same)
+    assert m != MoebiusMap(1, 2j, 3, 5)
+    assert m.__eq__((m.a, m.b, m.c, m.d)) is NotImplemented
+    assert len({m, same, IDENTITY}) == 2
+    assert repr(m) == "MoebiusMap(a=(1+0j), b=2j, c=(3+0j), d=(4+0j))"
+
+
+def test_maps_survive_pickle_and_copy():
+    m = normalize(MoebiusMap(1, 2j, 3, 4))
+    for clone in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+        assert type(clone) is MoebiusMap
+        assert clone == m
+        with pytest.raises(AttributeError):
+            clone.a = 0j
+
+
+# Dataclass-era formulas, building through the validating constructor.
+# The products now build through MoebiusMap._make with the same entry
+# expressions, so results must agree exactly.
+
+
+def reference_compose(m1: MoebiusMap, m2: MoebiusMap) -> MoebiusMap:
+    return MoebiusMap(
+        m1.a * m2.a + m1.b * m2.c,
+        m1.a * m2.b + m1.b * m2.d,
+        m1.c * m2.a + m1.d * m2.c,
+        m1.c * m2.b + m1.d * m2.d,
+    )
+
+
+def reference_normalize(m: MoebiusMap) -> MoebiusMap:
+    det = m.det
+    if abs(det.imag) <= _DET_REAL_SNAP * abs(det):
+        det = complex(det.real, 0.0)
+    s = cmath.sqrt(det)
+    return MoebiusMap(m.a / s, m.b / s, m.c / s, m.d / s)
+
+
+def reference_inverse(m: MoebiusMap) -> MoebiusMap:
+    return MoebiusMap(m.d, -m.b, -m.c, m.a)
+
+
+def test_products_match_reference_formulas_exactly():
+    rng = random.Random(15)
+    maps = []
+    while len(maps) < 200:
+        m = random_map(rng)
+        if len(maps) % 2:
+            # real entries give a real determinant: the snap branch
+            m = MoebiusMap(m.a.real, m.b.real, m.c.real, m.d.real)
+        maps.append(m)
+    for m1, m2 in zip(maps, maps[1:] + maps[:1]):
+        assert compose(m1, m2) == reference_compose(m1, m2)
+        assert normalize(m1) == reference_normalize(m1)
+        assert inverse(m1) == reference_inverse(m1)
 
 
 def test_compose_is_matrix_product_and_matches_pointwise_composition():
@@ -102,8 +178,9 @@ def test_classification_ignores_scalar_factors():
 
 def test_classification_rejects_non_real_trace():
     skew = MoebiusMap(1 + 1j, 0, 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(NonRealTraceError):
         classify(skew)
+    assert issubclass(NonRealTraceError, ValueError)
 
 
 def test_inverse_is_projective_inverse():
