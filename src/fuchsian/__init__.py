@@ -5,121 +5,93 @@ spanned by the branch points on the unit disk, the hyperbolic surface
 subgroup generated by their pairwise products, the closed-form generator
 family coming from quotients of hypergeometric solutions, and the
 {p, q} tessellation bookkeeping for the covered degree families.
+
+`import fuchsian` loads no layer: each submodule is imported the first
+time one of its names (or the submodule itself) is looked up on the
+package, and the name is then bound here like an ordinary attribute.
 """
 
-from .curves import HyperellipticCurve, fde_coefficient, genus_from_degree, roots
-from .disk_geometry import (
-    GeodesicArc,
-    HyperbolicPolygon,
-    cross_ratio,
-    geodesic_apex,
-    geodesic_between,
-    polygon_area,
-    polygon_from_vertices,
-    side_pairing_elliptic,
-    triangle_area,
-    vertex_cycle_angle_check,
-)
-from .group_builder import (
-    FuchsianGroupSpec,
-    NonHyperbolicProductError,
-    VerifyEntry,
-    VerifyReport,
-    boundary_generators,
-    fundamental_polygon,
-    subgroup_generators,
-    verify_group,
-)
-from .moebius import (
-    IDENTITY,
-    INFINITY,
-    MapClass,
-    MoebiusMap,
-    apply,
-    classify,
-    compose,
-    fixed_points,
-    inverse,
-    normalize,
-    projectively_equal,
-)
-from .tessellation import (
-    CycleCount,
-    GenusRange,
-    TessellationSpec,
-    cycle_count,
-    euler_characteristic,
-    genus_range,
-    is_hyperbolic_tessellation,
-    q_from_euler,
-    tessellation_for_degree,
-)
-from .whittaker import (
-    HdeParams,
-    connection_map,
-    connection_map_from_gammas,
-    continuation_residual,
-    gamma_fn,
-    hde_params,
-    hyp2f1,
-    monodromy_zero,
-    whittaker_generator,
-    whittaker_subgroup,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "HyperellipticCurve",
-    "fde_coefficient",
-    "genus_from_degree",
-    "roots",
-    "GeodesicArc",
-    "HyperbolicPolygon",
-    "cross_ratio",
-    "geodesic_apex",
-    "geodesic_between",
-    "polygon_area",
-    "polygon_from_vertices",
-    "side_pairing_elliptic",
-    "triangle_area",
-    "vertex_cycle_angle_check",
-    "FuchsianGroupSpec",
-    "NonHyperbolicProductError",
-    "VerifyEntry",
-    "VerifyReport",
-    "boundary_generators",
-    "fundamental_polygon",
-    "subgroup_generators",
-    "verify_group",
-    "IDENTITY",
-    "INFINITY",
-    "MapClass",
-    "MoebiusMap",
-    "apply",
-    "classify",
-    "compose",
-    "fixed_points",
-    "inverse",
-    "normalize",
-    "projectively_equal",
-    "CycleCount",
-    "GenusRange",
-    "TessellationSpec",
-    "cycle_count",
-    "euler_characteristic",
-    "genus_range",
-    "is_hyperbolic_tessellation",
-    "q_from_euler",
-    "tessellation_for_degree",
-    "HdeParams",
-    "connection_map",
-    "connection_map_from_gammas",
-    "continuation_residual",
-    "gamma_fn",
-    "hde_params",
-    "hyp2f1",
-    "monodromy_zero",
-    "whittaker_generator",
-    "whittaker_subgroup",
-]
+# submodule -> the names the package re-exports from it
+_EXPORTS = {
+    "curves": ("HyperellipticCurve", "fde_coefficient", "genus_from_degree", "roots"),
+    "disk_geometry": (
+        "GeodesicArc",
+        "HyperbolicPolygon",
+        "cross_ratio",
+        "geodesic_apex",
+        "geodesic_between",
+        "polygon_area",
+        "polygon_from_vertices",
+        "side_pairing_elliptic",
+        "triangle_area",
+        "vertex_cycle_angle_check",
+    ),
+    "group_builder": (
+        "FuchsianGroupSpec",
+        "NonHyperbolicProductError",
+        "VerifyEntry",
+        "VerifyReport",
+        "boundary_generators",
+        "fundamental_polygon",
+        "subgroup_generators",
+        "verify_group",
+    ),
+    "moebius": (
+        "IDENTITY",
+        "INFINITY",
+        "MapClass",
+        "MoebiusMap",
+        "apply",
+        "classify",
+        "compose",
+        "fixed_points",
+        "inverse",
+        "normalize",
+        "projectively_equal",
+    ),
+    "tessellation": (
+        "CycleCount",
+        "GenusRange",
+        "TessellationSpec",
+        "cycle_count",
+        "euler_characteristic",
+        "genus_range",
+        "is_hyperbolic_tessellation",
+        "q_from_euler",
+        "tessellation_for_degree",
+    ),
+    "whittaker": (
+        "HdeParams",
+        "connection_map",
+        "connection_map_from_gammas",
+        "continuation_residual",
+        "gamma_fn",
+        "hde_params",
+        "hyp2f1",
+        "monodromy_zero",
+        "whittaker_generator",
+        "whittaker_subgroup",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_SOURCE)
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        if name not in _EXPORTS:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        return importlib.import_module(f"{__name__}.{name}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -21,58 +21,11 @@ import argparse
 import cmath
 import json
 import math
-import random
 import sys
-from typing import Sequence
 
-from .curves import HyperellipticCurve, fde_coefficient, roots
-from .disk_geometry import (
-    GeodesicArc,
-    HyperbolicPolygon,
-    cross_ratio,
-    geodesic_apex,
-    geodesic_between,
-    polygon_area,
-    polygon_from_vertices,
-)
-from .group_builder import (
-    FuchsianGroupSpec,
-    NonHyperbolicProductError,
-    boundary_generators,
-    fundamental_polygon,
-    subgroup_generators,
-    verify_group,
-)
-from .moebius import (
-    MapClass,
-    MoebiusMap,
-    NonRealTraceError,
-    apply,
-    classify,
-    compose,
-    normalize,
-    projective_distance,
-)
-from .tessellation import (
-    cycle_count,
-    euler_characteristic,
-    genus_range,
-    tessellation_for_degree,
-)
-from .whittaker import (
-    connection_map,
-    connection_map_from_gammas,
-    continuation_residual,
-    gamma_fn,
-    hde_params,
-    hyp2f1,
-    monodromy_zero,
-    sine_product_residual,
-    trig_identity_residuals,
-    whittaker_generator,
-    whittaker_generator_raw,
-    whittaker_subgroup,
-)
+# Each payload imports the layers it uses inside its own body, so a
+# command loads only those (`genus` and `tessellation` load just the
+# tessellation layer). Layer names in annotations are never evaluated.
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -166,6 +119,8 @@ def _verify_json(report) -> dict:
 
 
 def run_genus(m: int, n: int) -> dict:
+    from .tessellation import genus_range, tessellation_for_degree
+
     gr = genus_range(m, n)
     per_g = []
     for g in range(max(2, gr.g_min), gr.g_max + 1):
@@ -192,6 +147,11 @@ def run_genus(m: int, n: int) -> dict:
 
 
 def run_generators(g: int, sign: int, k: int = 1) -> dict:
+    from .curves import HyperellipticCurve, roots
+    from .disk_geometry import geodesic_apex
+    from .group_builder import boundary_generators, subgroup_generators, verify_group
+    from .moebius import classify
+
     curve = HyperellipticCurve(g, sign)
     rs = roots(curve)
     n = len(rs)
@@ -240,6 +200,19 @@ def run_generators(g: int, sign: int, k: int = 1) -> dict:
 
 
 def run_whittaker(g: int) -> dict:
+    from .moebius import classify, compose, normalize, projective_distance
+    from .whittaker import (
+        connection_map,
+        connection_map_from_gammas,
+        hde_params,
+        monodromy_zero,
+        sine_product_residual,
+        trig_identity_residuals,
+        whittaker_generator,
+        whittaker_generator_raw,
+        whittaker_subgroup,
+    )
+
     params = hde_params(g)
     generators = []
     for k in range(2 * g + 1):
@@ -295,6 +268,8 @@ def run_whittaker(g: int) -> dict:
 
 
 def run_tessellation(degree: int, g: int) -> dict:
+    from .tessellation import cycle_count, euler_characteristic, tessellation_for_degree
+
     spec = tessellation_for_degree(degree, g)
     cc = cycle_count(spec.p, spec.q)
     chi = euler_characteristic(spec.p, spec.q)
@@ -352,6 +327,10 @@ def render_svg(curve: HyperellipticCurve) -> str:
     """SVG 1.1 figure: unit circle, root polygon, shaded fundamental
     polygon, labeled roots (r1..rn) and side apexes (m1..mn).
     """
+    from .curves import roots
+    from .disk_geometry import geodesic_apex, polygon_from_vertices
+    from .group_builder import fundamental_polygon
+
     rs = roots(curve)
     n = len(rs)
     mids = [geodesic_apex(rs[j], rs[(j + 1) % n]) for j in range(n)]
@@ -403,6 +382,10 @@ def render_svg(curve: HyperellipticCurve) -> str:
 
 
 def _perturbed_example_group(perturb: float) -> FuchsianGroupSpec:
+    from .curves import HyperellipticCurve
+    from .group_builder import FuchsianGroupSpec, boundary_generators
+    from .moebius import MoebiusMap
+
     base = boundary_generators(HyperellipticCurve(2, -1))
     if perturb == 0.0:
         return base
@@ -411,15 +394,36 @@ def _perturbed_example_group(perturb: float) -> FuchsianGroupSpec:
     return FuchsianGroupSpec("boundary", (bent,) + base.generators[1:], base.curve)
 
 
-def _projective_identity_residual(m: MoebiusMap) -> float:
-    lam = m.a
-    if lam == 0:
-        return float("inf")
-    return max(abs(m.b / lam), abs(m.c / lam), abs(m.d / lam - 1.0))
-
-
 def run_verify(perturb: float = 0.0) -> tuple[int, str]:
     """Run every headline invariant; returns (exit code, text report)."""
+    import random
+
+    from .curves import HyperellipticCurve, fde_coefficient, roots
+    from .disk_geometry import cross_ratio, geodesic_apex, geodesic_between, polygon_area
+    from .group_builder import boundary_generators, fundamental_polygon, subgroup_generators
+    from .moebius import (
+        IDENTITY,
+        MapClass,
+        MoebiusMap,
+        apply,
+        classify,
+        compose,
+        normalize,
+        projective_distance,
+    )
+    from .tessellation import cycle_count, euler_characteristic, tessellation_for_degree
+    from .whittaker import (
+        connection_map,
+        connection_map_from_gammas,
+        continuation_residual,
+        gamma_fn,
+        hde_params,
+        hyp2f1,
+        monodromy_zero,
+        sine_product_residual,
+        trig_identity_residuals,
+    )
+
     rng = random.Random(_SAMPLE_SEED)
     checks: list[tuple[str, bool, str]] = []
 
@@ -579,7 +583,7 @@ def run_verify(perturb: float = 0.0) -> tuple[int, str]:
         power = m
         for _ in range(2 * g):
             power = compose(power, m)
-        mono_res = max(mono_res, _projective_identity_residual(power))
+        mono_res = max(mono_res, projective_distance(power, IDENTITY))
     add(
         "monodromy_order",
         mono_res <= 1e-10,
@@ -758,7 +762,24 @@ def _emit_json(doc: dict, json_out: str | None) -> None:
             fh.write(text)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _numerical_errors() -> tuple[type[Exception], ...]:
+    """The numerical-breakdown exceptions (exit 3) of the loaded layers.
+
+    A layer that was never imported raised nothing, so looking only in
+    `sys.modules` keeps `main` from importing layers just to name them.
+    """
+    found = []
+    for layer, name in (
+        ("group_builder", "NonHyperbolicProductError"),
+        ("moebius", "NonRealTraceError"),
+    ):
+        module = sys.modules.get(f"{__package__}.{layer}")
+        if module is not None:
+            found.append(getattr(module, name))
+    return tuple(found)
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -772,6 +793,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif args.mode == "tessellation":
             _emit_json(run_tessellation(args.degree, args.genus), args.json_out)
         elif args.mode == "render":
+            from .curves import HyperellipticCurve
+
             sign = 1 if args.sign == "plus" else -1
             svg = render_svg(HyperellipticCurve(args.genus, sign))
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -780,7 +803,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             code, report = run_verify(args.perturb)
             sys.stdout.write(report)
             return code
-    except (NonHyperbolicProductError, NonRealTraceError) as exc:
+    except _numerical_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ALGORITHM
     except ValueError as exc:

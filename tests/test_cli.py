@@ -244,3 +244,14 @@ def test_exit_code_io_failure(tmp_path):
                      "--out", str(missing_dir)]) == 4
     assert cli.main(["--json-out", str(tmp_path / "x" / "y.json"),
                      "genus", "4", "4"]) == 4
+
+
+def test_unexpected_error_propagates(monkeypatch):
+    # only ValueError and OSError map to exit codes; a bug stays a traceback
+    def explode(*args, **kwargs):
+        raise RuntimeError("not an input or numerical error")
+
+    monkeypatch.setattr(cli, "run_genus", explode)
+    with pytest.raises(RuntimeError, match="not an input"):
+        cli.main(["genus", "4", "4"])
+

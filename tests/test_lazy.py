@@ -1,0 +1,100 @@
+"""Lazy loading: `import fuchsian` loads no layer, each CLI command loads
+only the layers it uses, and every exported name still resolves to the
+object its defining module holds."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import fuchsian
+
+LAYERS = ("curves", "disk_geometry", "group_builder", "moebius", "tessellation", "whittaker")
+ALL = set(LAYERS)
+GEOMETRY = {"curves", "disk_geometry", "group_builder", "moebius"}
+
+
+def loaded_layers(*args):
+    """Exit code and the fuchsian layers a fresh interpreter imported.
+
+    `-X importtime` lists every module a process imports on stderr, one
+    `import time: self | cumulative | name` line each.
+    """
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True,
+        text=True,
+    )
+    layers = set()
+    for line in result.stderr.splitlines():
+        if line.startswith("import time:"):
+            name = line.rsplit("|", 1)[1].strip()
+            if name.startswith("fuchsian."):
+                layers.add(name.removeprefix("fuchsian."))
+    return result.returncode, layers
+
+
+def test_bare_import_loads_no_layer():
+    assert loaded_layers("-c", "import fuchsian") == (0, set())
+
+
+COMMANDS = [
+    (("genus", "4", "4"), 0, {"tessellation"}),
+    # bad arguments: naming the exit-3 exceptions imports no layer
+    (("genus", "1", "5"), 2, {"tessellation"}),
+    (("tessellation", "--degree", "5", "--genus", "2"), 0, {"tessellation"}),
+    (("whittaker", "--genus", "2"), 0, {"moebius", "whittaker"}),
+    (("generators", "--genus", "2", "--sign", "minus"), 0, GEOMETRY),
+    (("render", "--genus", "2", "--sign", "minus", "--out", "{out}"), 0, GEOMETRY),
+    (("verify",), 0, ALL),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, want", COMMANDS, ids=[" ".join(argv) for argv, _, _ in COMMANDS]
+)
+def test_each_command_loads_only_its_layers(argv, code, want, tmp_path):
+    argv = [a.format(out=tmp_path / "f.svg") for a in argv]
+    assert loaded_layers("-m", "fuchsian.cli", *argv) == (code, want)
+
+
+def test_every_exported_name_is_its_defining_modules_object():
+    assert len(fuchsian.__all__) == len(set(fuchsian.__all__)) == 52
+    for module_name, names in fuchsian._EXPORTS.items():
+        module = importlib.import_module(f"fuchsian.{module_name}")
+        for name in names:
+            obj = getattr(fuchsian, name)
+            assert obj is getattr(module, name), name
+            if hasattr(obj, "__qualname__"):
+                assert obj.__module__ == module.__name__, name
+    assert set(fuchsian.__all__) <= set(dir(fuchsian))
+    assert set(LAYERS) <= set(dir(fuchsian))
+
+
+def test_star_import_binds_all_names():
+    namespace = {}
+    exec("from fuchsian import *", namespace)
+    assert set(fuchsian.__all__) <= set(namespace)
+    assert namespace["compose"] is fuchsian.moebius.compose
+    assert namespace["hyp2f1"] is fuchsian.whittaker.hyp2f1
+
+
+def test_layer_submodule_is_an_attribute_after_bare_import():
+    code = (
+        "import fuchsian; m = fuchsian.whittaker; "
+        "print(m.__name__, m.hyp2f1 is fuchsian.hyp2f1)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["fuchsian.whittaker", "True"]
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fuchsian.no_such_name
+    with pytest.raises(AttributeError):
+        getattr(fuchsian, "cli_does_not_exist")
+    assert not hasattr(fuchsian, "_private")
