@@ -15,6 +15,14 @@ import importlib
 
 __version__ = "0.1.0"
 
+
+class NumericalError(Exception):
+    """A numerical breakdown on valid input (the CLI's exit 3), as
+    opposed to bad arguments. Each layer's numerical errors also keep
+    their historical base class (`ValueError` or `RuntimeError`).
+    """
+
+
 # submodule -> the names the package re-exports from it
 _EXPORTS = {
     "curves": ("HyperellipticCurve", "fde_coefficient", "genus_from_degree", "roots"),

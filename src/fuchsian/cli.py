@@ -23,6 +23,8 @@ import json
 import math
 import sys
 
+from . import NumericalError
+
 # Each payload imports the layers it uses inside its own body, so a
 # command loads only those (`genus` and `tessellation` load just the
 # tessellation layer). Layer names in annotations are never evaluated.
@@ -150,7 +152,6 @@ def run_generators(g: int, sign: int, k: int = 1) -> dict:
     from .curves import HyperellipticCurve, roots
     from .disk_geometry import geodesic_apex
     from .group_builder import boundary_generators, subgroup_generators, verify_group
-    from .moebius import classify
 
     curve = HyperellipticCurve(g, sign)
     rs = roots(curve)
@@ -158,15 +159,17 @@ def run_generators(g: int, sign: int, k: int = 1) -> dict:
     mids = [geodesic_apex(rs[j], rs[(j + 1) % n]) for j in range(n)]
     base = boundary_generators(curve)
     sub = subgroup_generators(base, k)
+    rep_base = verify_group(base)
+    rep_sub = verify_group(sub)
     boundary = [
         {
             "index": j + 1,
             "matrix": _matrix(gen),
             "trace": _cpair(gen.trace),
             "det": _cpair(gen.det),
-            "class": classify(gen).value,
+            "class": entry.map_class,
         }
-        for j, gen in enumerate(base.generators)
+        for j, (gen, entry) in enumerate(zip(base.generators, rep_base.entries))
     ]
     others = [j for j in range(1, n + 1) if j != k]
     subgroup = [
@@ -175,12 +178,10 @@ def run_generators(g: int, sign: int, k: int = 1) -> dict:
             "matrix": _matrix(gen),
             "trace": _cpair(gen.trace),
             "abs_trace": abs(gen.trace),
-            "class": classify(gen).value,
+            "class": entry.map_class,
         }
-        for j, gen in zip(others, sub.generators)
+        for j, gen, entry in zip(others, sub.generators, rep_sub.entries)
     ]
-    rep_base = verify_group(base)
-    rep_sub = verify_group(sub)
     return {
         "mode": "generators",
         "genus": g,
@@ -399,14 +400,23 @@ def run_verify(perturb: float = 0.0) -> tuple[int, str]:
     import random
 
     from .curves import HyperellipticCurve, fde_coefficient, roots
-    from .disk_geometry import cross_ratio, geodesic_apex, geodesic_between, polygon_area
-    from .group_builder import boundary_generators, fundamental_polygon, subgroup_generators
+    from .disk_geometry import (
+        cross_ratio,
+        geodesic_apex,
+        geodesic_between,
+        point_on_geodesic,
+        polygon_area,
+    )
+    from .group_builder import (
+        boundary_generators,
+        fundamental_polygon,
+        subgroup_generators,
+        verify_group,
+    )
     from .moebius import (
         IDENTITY,
-        MapClass,
         MoebiusMap,
         apply,
-        classify,
         compose,
         normalize,
         projective_distance,
@@ -467,23 +477,15 @@ def run_verify(perturb: float = 0.0) -> tuple[int, str]:
     for g in range(1, 7):
         for sign in (1, -1):
             base = boundary_generators(HyperellipticCurve(g, sign))
-            for gen in base.generators:
-                det_res = max(det_res, abs(gen.det - 1.0))
-                tr_res = max(tr_res, abs(gen.trace))
-                sq = compose(gen, gen)
-                inv_res = max(
-                    inv_res,
-                    abs(sq.a + 1.0),
-                    abs(sq.b),
-                    abs(sq.c),
-                    abs(sq.d + 1.0),
-                )
-                all_elliptic &= classify(gen) is MapClass.ELLIPTIC
+            for entry in verify_group(base).entries:
+                det_res = max(det_res, entry.det_residual)
+                tr_res = max(tr_res, abs(entry.trace))
+                inv_res = max(inv_res, entry.involution_residual)
+                all_elliptic &= entry.map_class == "elliptic"
             for k in range(1, 2 * g + 2):
-                sub = subgroup_generators(base, k)
-                for prod in sub.generators:
-                    all_hyperbolic &= classify(prod) is MapClass.HYPERBOLIC
-                    min_product_trace = min(min_product_trace, abs(prod.trace))
+                for entry in verify_group(subgroup_generators(base, k)).entries:
+                    all_hyperbolic &= entry.map_class == "hyperbolic"
+                    min_product_trace = min(min_product_trace, abs(entry.trace))
     add(
         "boundary_contract",
         det_res <= 1e-9 and tr_res <= 1e-8 and all_elliptic,
@@ -517,8 +519,7 @@ def run_verify(perturb: float = 0.0) -> tuple[int, str]:
                     ortho_res,
                     abs(abs(side.center) ** 2 - side.radius**2 - 1.0),
                 )
-                apex = geodesic_apex(z, z2)
-                apex_res = max(apex_res, abs(abs(apex - side.center) - side.radius))
+                apex_res = max(apex_res, point_on_geodesic(geodesic_apex(z, z2), side))
     add("roots_identity", root_res <= 1e-12, f"max|z^n + sign|={root_res:.3e}")
     add(
         "geodesic_orthogonality",
@@ -762,23 +763,6 @@ def _emit_json(doc: dict, json_out: str | None) -> None:
             fh.write(text)
 
 
-def _numerical_errors() -> tuple[type[Exception], ...]:
-    """The numerical-breakdown exceptions (exit 3) of the loaded layers.
-
-    A layer that was never imported raised nothing, so looking only in
-    `sys.modules` keeps `main` from importing layers just to name them.
-    """
-    found = []
-    for layer, name in (
-        ("group_builder", "NonHyperbolicProductError"),
-        ("moebius", "NonRealTraceError"),
-    ):
-        module = sys.modules.get(f"{__package__}.{layer}")
-        if module is not None:
-            found.append(getattr(module, name))
-    return tuple(found)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -803,7 +787,7 @@ def main(argv: list[str] | None = None) -> int:
             code, report = run_verify(args.perturb)
             sys.stdout.write(report)
             return code
-    except _numerical_errors() as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ALGORITHM
     except ValueError as exc:

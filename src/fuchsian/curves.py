@@ -44,17 +44,10 @@ def roots(curve: HyperellipticCurve) -> list[complex]:
     """
     n = curve.degree
     if curve.sign == -1:
-        angles = [2.0 * math.pi * k / n for k in range(n)]
+        angles = [2.0 * math.pi * k / n for k in range(1, n)] + [2.0 * math.pi]
     else:
         angles = [math.pi * (2 * k + 1) / n for k in range(n)]
-    keyed = []
-    for theta in angles:
-        t = math.fmod(theta, 2.0 * math.pi)
-        if t <= 0.0:
-            t += 2.0 * math.pi
-        keyed.append((t, cmath.exp(1j * t)))
-    keyed.sort(key=lambda pair: pair[0])
-    return [z for _, z in keyed]
+    return [cmath.exp(1j * t) for t in angles]
 
 
 def fde_coefficient(curve: HyperellipticCurve, z: complex) -> complex:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import NumericalError
 from .curves import HyperellipticCurve, roots
 from .disk_geometry import (
     HyperbolicPolygon,
@@ -33,7 +34,7 @@ TRACE_TOL = 1e-8
 INVOLUTION_TOL = 1e-8
 
 
-class NonHyperbolicProductError(RuntimeError):
+class NonHyperbolicProductError(NumericalError, RuntimeError):
     """A product of side maps failed the hyperbolicity check."""
 
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 import cmath
 from enum import Enum
 
+from . import NumericalError
+
 # Tolerances for double-precision inputs assembled from closed forms.
 TRACE_IMAG_TOL = 1e-6
 CLASS_BOUNDARY_TOL = 1e-9
@@ -55,7 +57,7 @@ class MapClass(Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-class NonRealTraceError(ValueError):
+class NonRealTraceError(NumericalError, ValueError):
     """The normalized trace is not real: a numerical breakdown, not bad input."""
 
 

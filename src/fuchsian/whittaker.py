@@ -18,11 +18,17 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from . import NumericalError
 from .moebius import MoebiusMap, compose, normalize
 
 SERIES_TOL = 1e-16
 SERIES_CONSECUTIVE = 3
 SERIES_MAX_TERMS = 100000
+
+
+class SeriesNotConvergedError(NumericalError, ValueError):
+    """The hypergeometric series ran out of its term budget."""
+
 
 # Lanczos coefficients, g = 7: relative error below 1e-13 on the tested
 # range once paired with the reflection formula for Re(x) < 1/2.
@@ -76,7 +82,8 @@ def hyp2f1(alpha: float, beta: float, gamma: float, z: complex) -> complex:
     Gamma(gamma) Gamma(gamma-alpha-beta) / (Gamma(gamma-alpha)
     Gamma(gamma-beta)), which needs gamma - alpha - beta > 0. The series
     stops when the term magnitude stays below SERIES_TOL times the
-    partial sum for SERIES_CONSECUTIVE terms.
+    partial sum for SERIES_CONSECUTIVE terms; SeriesNotConvergedError
+    if that has not happened after SERIES_MAX_TERMS terms.
     """
     if gamma <= 0 and gamma == int(gamma):
         raise ValueError("gamma parameter is a nonpositive integer")
@@ -103,7 +110,9 @@ def hyp2f1(alpha: float, beta: float, gamma: float, z: complex) -> complex:
                 return total
         else:
             quiet = 0
-    raise ValueError("hypergeometric series did not converge in 100000 terms")
+    raise SeriesNotConvergedError(
+        f"hypergeometric series did not converge in {SERIES_MAX_TERMS} terms"
+    )
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,14 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from fuchsian import cli
+from fuchsian import NumericalError, cli, whittaker
 from fuchsian.curves import HyperellipticCurve
 from fuchsian.group_builder import (
     FuchsianGroupSpec,
     NonHyperbolicProductError,
     verify_group,
 )
-from fuchsian.moebius import MoebiusMap, normalize
+from fuchsian.moebius import MoebiusMap, NonRealTraceError, normalize
 
 
 def run_cli(*args):
@@ -225,17 +225,30 @@ def test_argparse_errors_exit_two():
 
 
 def test_exit_code_algorithm_failure(monkeypatch):
-    def explode(*args, **kwargs):
-        raise NonHyperbolicProductError("forced")
+    # every numerical error is a NumericalError, which main maps to 3,
+    # and keeps the base class that callers caught before
+    for error, old_base in (
+        (NonHyperbolicProductError, RuntimeError),
+        (NonRealTraceError, ValueError),
+        (whittaker.SeriesNotConvergedError, ValueError),
+    ):
+        assert issubclass(error, NumericalError)
+        assert issubclass(error, old_base)
 
-    monkeypatch.setattr(cli, "run_generators", explode)
-    assert cli.main(["generators", "--genus", "2", "--sign", "minus"]) == 3
+        def explode(*args, **kwargs):
+            raise error("forced")
+
+        monkeypatch.setattr(cli, "run_generators", explode)
+        assert cli.main(["generators", "--genus", "2", "--sign", "minus"]) == 3
 
 
-def test_exit_code_numerical_breakdown():
+def test_exit_code_numerical_breakdown(monkeypatch):
     # valid input whose surface-group product has a non-real normalized
     # trace: a numerical failure (3), not bad arguments (2)
     assert cli.main(["generators", "--genus", "44", "--sign", "plus"]) == 3
+    # likewise a hypergeometric series that runs out of terms
+    monkeypatch.setattr(whittaker, "SERIES_MAX_TERMS", 5)
+    assert cli.main(["verify"]) == 3
 
 
 def test_exit_code_io_failure(tmp_path):

@@ -10,15 +10,21 @@ import pytest
 
 from fuchsian import cli
 
+# argv -> (sha256 of stdout, exit code); the --perturb runs pin the
+# failing verify report as well as the passing one
 GOLDEN_STDOUT = {
-    ("generators", "--genus", "2", "--sign", "minus"):
-        "2304d9e5722e46e5c9627a10d9326c6e075f211d4fd99d22946ba82aa7591684",
-    ("generators", "--genus", "30", "--sign", "plus", "--fixed", "7"):
-        "ebf5ea29a00540f4cd1a091b0b94669c1b35fc76edfaafc57cbe4fee9098b351",
-    ("whittaker", "--genus", "40"):
-        "23b729a586bf9c09b197ac469bf0f7b6ed0c94c1935a9049f20687ba76e855b8",
-    ("verify",):
-        "61bb08587e19afc190a8d1a266cc47c307d9e404437a8bd182d8515c772c9ec6",
+    ("generators", "--genus", "2", "--sign", "minus"): (
+        "2304d9e5722e46e5c9627a10d9326c6e075f211d4fd99d22946ba82aa7591684", 0),
+    ("generators", "--genus", "30", "--sign", "plus", "--fixed", "7"): (
+        "ebf5ea29a00540f4cd1a091b0b94669c1b35fc76edfaafc57cbe4fee9098b351", 0),
+    ("whittaker", "--genus", "40"): (
+        "23b729a586bf9c09b197ac469bf0f7b6ed0c94c1935a9049f20687ba76e855b8", 0),
+    ("verify",): (
+        "61bb08587e19afc190a8d1a266cc47c307d9e404437a8bd182d8515c772c9ec6", 0),
+    ("verify", "--perturb", "1e-2"): (
+        "e6b22b10592cb96da13ff6b255c697d52fa0c625579dba79ae58cb85c9e4cc73", 1),
+    ("verify", "--perturb", "0.5"): (
+        "22c82f6c8e0dcf6b783efd8140e312df759ea6f8faeecf6100632d854a461707", 1),
 }
 GOLDEN_RENDER_GENUS_5_PLUS = (
     "6cfd8fa1af7f02501448166be5fbeff0c4e1a0b4cdab21d5abf3933f082805fa"
@@ -29,11 +35,15 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=" ".join)
-def test_stdout_bytes_are_pinned(argv, capsys):
-    assert cli.main(list(argv)) == 0
+@pytest.mark.parametrize(
+    ("argv", "expected"), list(GOLDEN_STDOUT.items()),
+    ids=[" ".join(argv) for argv in GOLDEN_STDOUT],
+)
+def test_stdout_bytes_are_pinned(argv, expected, capsys):
+    digest, code = expected
+    assert cli.main(list(argv)) == code
     out = capsys.readouterr().out
-    assert sha256(out.encode("utf-8")) == GOLDEN_STDOUT[argv]
+    assert sha256(out.encode("utf-8")) == digest
 
 
 def test_render_svg_bytes_are_pinned(tmp_path):

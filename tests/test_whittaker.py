@@ -11,8 +11,10 @@ import random
 import pytest
 import scipy.special
 
+from fuchsian import NumericalError, whittaker
 from fuchsian.moebius import MapClass, classify, compose, normalize, projective_distance
 from fuchsian.whittaker import (
+    SeriesNotConvergedError,
     connection_map,
     connection_map_from_gammas,
     continuation_residual,
@@ -111,6 +113,17 @@ def test_hyp2f1_domain_errors():
         hyp2f1(0.5, 0.8, 1.2, 1)  # gamma - alpha - beta not positive
     with pytest.raises(ValueError):
         hyp2f1(0.2, 0.4, -2.0, 0.3)  # nonpositive-integer gamma
+
+
+def test_hyp2f1_term_budget_exhaustion_is_numerical(monkeypatch):
+    # running out of terms is a numerical breakdown, not bad input; a
+    # domain error stays a plain ValueError
+    monkeypatch.setattr(whittaker, "SERIES_MAX_TERMS", 5)
+    with pytest.raises(SeriesNotConvergedError, match="in 5 terms"):
+        hyp2f1(0.2, 0.4, 0.8, 0.5)
+    with pytest.raises(ValueError) as domain:
+        hyp2f1(0.2, 0.4, 0.8, 1.5)
+    assert not isinstance(domain.value, NumericalError)
 
 
 def test_hyp2f1_polynomial_when_alpha_is_negative_integer():
