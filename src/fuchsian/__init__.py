@@ -30,6 +30,7 @@ _EXPORTS = {
         "GeodesicArc",
         "HyperbolicPolygon",
         "cross_ratio",
+        "fundamental_polygon",
         "geodesic_apex",
         "geodesic_between",
         "polygon_area",
@@ -44,7 +45,6 @@ _EXPORTS = {
         "VerifyEntry",
         "VerifyReport",
         "boundary_generators",
-        "fundamental_polygon",
         "subgroup_generators",
         "verify_group",
     ),

@@ -13,38 +13,32 @@ JSON goes to stdout or --json-out FILE, formatted deterministically
 key order), so repeated runs are byte-identical. Exit codes: 0 success,
 1 verification failure, 2 bad arguments, 3 algorithm precondition
 failure, 4 I/O failure.
+
+Each command loads and compiles only the code it runs. `genus` and
+`tessellation` load the tessellation layer; `whittaker` moebius and
+whittaker; `render` curves, disk_geometry and moebius; `generators`
+those and group_builder, the one layer that imports `dataclasses`; and
+`verify` every layer plus the check suite in `fuchsian.checks`. The
+layers' value records are NamedTuples, which `to_json` would write as
+JSON lists, so the payloads copy the fields they report into dicts.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
-import math
 import sys
 
 from . import NumericalError
 
-# Each payload imports the layers it uses inside its own body, so a
-# command loads only those (`genus` and `tessellation` load just the
-# tessellation layer). Layer names in annotations are never evaluated.
+# Each payload imports the layers it uses inside its own body. Layer
+# names in annotations are never evaluated.
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_ARGUMENTS = 2
 EXIT_ALGORITHM = 3
 EXIT_IO = 4
-
-_SAMPLE_SEED = 20260814
-
-# Frozen regression values for the genus-2, sign -1 construction.
-_EXAMPLE_T1 = (
-    1.7013j,
-    1.30902 + 0.425325j,
-    1.30902 - 0.425325j,
-    -1.7013j,
-)
-_EXAMPLE_ABS_TRACES = (4.6180, 8.8541, 8.8541, 4.6180)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +323,7 @@ def render_svg(curve: HyperellipticCurve) -> str:
     polygon, labeled roots (r1..rn) and side apexes (m1..mn).
     """
     from .curves import roots
-    from .disk_geometry import geodesic_apex, polygon_from_vertices
-    from .group_builder import fundamental_polygon
+    from .disk_geometry import fundamental_polygon, geodesic_apex, polygon_from_vertices
 
     rs = roots(curve)
     n = len(rs)
@@ -382,328 +375,12 @@ def render_svg(curve: HyperellipticCurve) -> str:
 # verification suite
 
 
-def _perturbed_example_group(perturb: float) -> FuchsianGroupSpec:
-    from .curves import HyperellipticCurve
-    from .group_builder import FuchsianGroupSpec, boundary_generators
-    from .moebius import MoebiusMap
-
-    base = boundary_generators(HyperellipticCurve(2, -1))
-    if perturb == 0.0:
-        return base
-    t1 = base.generators[0]
-    bent = MoebiusMap(t1.a + perturb, t1.b, t1.c, t1.d)
-    return FuchsianGroupSpec("boundary", (bent,) + base.generators[1:], base.curve)
-
-
 def run_verify(perturb: float = 0.0) -> tuple[int, str]:
     """Run every headline invariant; returns (exit code, text report)."""
-    import random
+    from .checks import run_checks
 
-    from .curves import HyperellipticCurve, fde_coefficient, roots
-    from .disk_geometry import (
-        cross_ratio,
-        geodesic_apex,
-        geodesic_between,
-        point_on_geodesic,
-        polygon_area,
-    )
-    from .group_builder import (
-        boundary_generators,
-        fundamental_polygon,
-        subgroup_generators,
-        verify_group,
-    )
-    from .moebius import (
-        IDENTITY,
-        MoebiusMap,
-        apply,
-        compose,
-        normalize,
-        projective_distance,
-    )
-    from .tessellation import cycle_count, euler_characteristic, tessellation_for_degree
-    from .whittaker import (
-        connection_map,
-        connection_map_from_gammas,
-        continuation_residual,
-        gamma_fn,
-        hde_params,
-        hyp2f1,
-        monodromy_zero,
-        sine_product_residual,
-        trig_identity_residuals,
-    )
-
-    rng = random.Random(_SAMPLE_SEED)
-    checks: list[tuple[str, bool, str]] = []
-
-    def add(name: str, passed: bool, detail: str) -> None:
-        checks.append((name, passed, detail))
-
-    # Frozen genus-2 regression (the perturbation hook bends generator 1).
-    example = _perturbed_example_group(perturb)
-    t1 = example.generators[0]
-    entry_res = max(
-        abs(t1.a - _EXAMPLE_T1[0]),
-        abs(t1.b - _EXAMPLE_T1[1]),
-        abs(t1.c - _EXAMPLE_T1[2]),
-        abs(t1.d - _EXAMPLE_T1[3]),
-    )
-    add(
-        "example_generator_entries",
-        entry_res <= 1e-4,
-        f"residual={entry_res:.3e} tol=1e-4",
-    )
-    prods = [
-        normalize(compose(t1, example.generators[j])) for j in range(1, 5)
-    ]
-    trace_res = max(
-        abs(abs(p.trace) - want)
-        for p, want in zip(prods, _EXAMPLE_ABS_TRACES)
-    )
-    add(
-        "example_trace_regression",
-        trace_res <= 1e-3,
-        f"|tr| vs (4.6180, 8.8541, 8.8541, 4.6180) residual={trace_res:.3e}",
-    )
-
-    # Boundary-group contract and hyperbolic products across the family.
-    det_res = 0.0
-    tr_res = 0.0
-    inv_res = 0.0
-    all_elliptic = True
-    all_hyperbolic = True
-    min_product_trace = float("inf")
-    for g in range(1, 7):
-        for sign in (1, -1):
-            base = boundary_generators(HyperellipticCurve(g, sign))
-            for entry in verify_group(base).entries:
-                det_res = max(det_res, entry.det_residual)
-                tr_res = max(tr_res, abs(entry.trace))
-                inv_res = max(inv_res, entry.involution_residual)
-                all_elliptic &= entry.map_class == "elliptic"
-            for k in range(1, 2 * g + 2):
-                for entry in verify_group(subgroup_generators(base, k)).entries:
-                    all_hyperbolic &= entry.map_class == "hyperbolic"
-                    min_product_trace = min(min_product_trace, abs(entry.trace))
-    add(
-        "boundary_contract",
-        det_res <= 1e-9 and tr_res <= 1e-8 and all_elliptic,
-        f"max|det-1|={det_res:.3e} max|tr|={tr_res:.3e} elliptic={all_elliptic}",
-    )
-    add(
-        "products_hyperbolic",
-        all_hyperbolic,
-        f"g=1..6, both signs, all k; min|tr|={min_product_trace:.4f} (>2)",
-    )
-    add(
-        "involution",
-        inv_res <= 1e-8,
-        f"max entrywise |T*T + I|={inv_res:.3e} tol=1e-8",
-    )
-
-    # Roots and geodesic geometry.
-    root_res = 0.0
-    ortho_res = 0.0
-    apex_res = 0.0
-    for g in range(1, 7):
-        for sign in (1, -1):
-            curve = HyperellipticCurve(g, sign)
-            rs = roots(curve)
-            n = len(rs)
-            for j, z in enumerate(rs):
-                root_res = max(root_res, abs(z**n + sign))
-                z2 = rs[(j + 1) % n]
-                side = geodesic_between(z, z2)
-                ortho_res = max(
-                    ortho_res,
-                    abs(abs(side.center) ** 2 - side.radius**2 - 1.0),
-                )
-                apex_res = max(apex_res, point_on_geodesic(geodesic_apex(z, z2), side))
-    add("roots_identity", root_res <= 1e-12, f"max|z^n + sign|={root_res:.3e}")
-    add(
-        "geodesic_orthogonality",
-        ortho_res <= 1e-9,
-        f"max||C|^2 - R^2 - 1|={ortho_res:.3e}",
-    )
-    add(
-        "apex_on_geodesic",
-        apex_res <= 1e-9,
-        f"max||m - C| - R|={apex_res:.3e}",
-    )
-
-    # Cross-ratio invariance under sampled disk maps.
-    def sample_point() -> complex:
-        r = math.sqrt(rng.uniform(0.0, 0.92))
-        t = rng.uniform(0.0, 2.0 * math.pi)
-        return r * cmath.exp(1j * t)
-
-    maps = []
-    for _ in range(20):
-        alpha = cmath.exp(1j * rng.uniform(0.0, 2 * math.pi)) / math.sqrt(
-            1 - 0.8 * rng.random()
-        )
-        beta = sample_point() * abs(alpha) * 0.5
-        maps.append(normalize(MoebiusMap(alpha, beta, beta.conjugate(), alpha.conjugate())))
-    cr_res = 0.0
-    for _ in range(100):
-        quad = [sample_point() for _ in range(4)]
-        if len({q for q in quad}) < 4:
-            continue
-        base_cr = cross_ratio(*quad)
-        for mp in maps:
-            moved = [apply(mp, q) for q in quad]
-            cr_res = max(cr_res, abs(cross_ratio(*moved) - base_cr))
-    add(
-        "cross_ratio_invariance",
-        cr_res <= 1e-9,
-        f"100 quadruples x 20 maps, max residual={cr_res:.3e}",
-    )
-
-    # Connection-map identities.
-    trig_res = 0.0
-    for g in range(2, 9):
-        trig_res = max(trig_res, *trig_identity_residuals(g), sine_product_residual(g))
-    add("trig_identities", trig_res <= 1e-12, f"g=2..8 max residual={trig_res:.3e}")
-    conn_res = 0.0
-    for g in range(2, 6):
-        conn_res = max(
-            conn_res,
-            projective_distance(
-                normalize(connection_map(g)), normalize(connection_map_from_gammas(g))
-            ),
-        )
-    add(
-        "connection_projective",
-        conn_res <= 1e-8,
-        f"g=2..5 max projective residual={conn_res:.3e}",
-    )
-    mono_res = 0.0
-    for g in range(2, 6):
-        m = monodromy_zero(g)
-        power = m
-        for _ in range(2 * g):
-            power = compose(power, m)
-        mono_res = max(mono_res, projective_distance(power, IDENTITY))
-    add(
-        "monodromy_order",
-        mono_res <= 1e-10,
-        f"(loop map)^(2g+1) vs identity, residual={mono_res:.3e}",
-    )
-
-    # Hypergeometric properties for the genus-2 parameter triple.
-    params = hde_params(2)
-    al, be, ga = params.alpha, params.beta, params.gamma
-    sym_res = swap_res = euler_res = contig_res = 0.0
-    for _ in range(50):
-        z = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.3, 0.3))
-        if abs(z) >= 0.9:
-            z *= 0.9 / abs(z) * 0.99
-        sym_res = max(sym_res, abs(hyp2f1(al, be, ga, z) - hyp2f1(be, al, ga, z)))
-        swap_res = max(
-            swap_res, abs(hyp2f1(al, be, be, z) - (1 - z) ** (-al))
-        )
-        euler_res = max(
-            euler_res,
-            abs(
-                hyp2f1(al, be, ga, z)
-                - (1 - z) ** (ga - al - be) * hyp2f1(ga - al, ga - be, ga, z)
-            ),
-        )
-        contig_res = max(
-            contig_res,
-            abs(
-                (1 - z) * hyp2f1(al, be, ga - 1, z)
-                - (1 + z * (al + be - 2 * ga + 1) / (ga - 1)) * hyp2f1(al, be, ga, z)
-                - z * (al - ga) * (be - ga) / (ga * (ga - 1))
-                * hyp2f1(al, be, ga + 1, z)
-            ),
-        )
-    origin_res = abs(hyp2f1(al, be, ga, 0) - 1.0)
-    add(
-        "hypergeometric_properties",
-        max(sym_res, swap_res, euler_res, contig_res, origin_res) <= 1e-9,
-        f"symmetry={sym_res:.1e} reduction={swap_res:.1e} "
-        f"euler={euler_res:.1e} contiguous={contig_res:.1e}",
-    )
-    # Gauss summation cross-checks: terminating series against the
-    # closed product, and the z -> 0 limit of the continuation formula.
-    gauss_res = 0.0
-    for n_term, b, c in ((1, 0.4, 0.8), (3, 0.3, 1.1), (5, 0.25, 0.95)):
-        product = 1.0
-        for i in range(n_term):
-            product *= (c - b + i) / (c + i)
-        gauss_res = max(gauss_res, abs(hyp2f1(-n_term, b, c, 1) - product))
-    c0 = ga - al - be
-    coeff_a = gamma_fn(ga) * gamma_fn(c0) / (gamma_fn(ga - al) * gamma_fn(ga - be))
-    coeff_b = gamma_fn(ga) * gamma_fn(-c0) / (gamma_fn(al) * gamma_fn(be))
-    limit = coeff_a * hyp2f1(al, be, al + be - ga + 1, 1) + coeff_b * hyp2f1(
-        ga - al, ga - be, c0 + 1, 1
-    )
-    gauss_res = max(gauss_res, abs(limit - 1.0))
-    add("gauss_summation", gauss_res <= 1e-10, f"max residual={gauss_res:.3e}")
-    cont_res = 0.0
-    for _ in range(20):
-        z = rng.uniform(0.1, 0.9)
-        cont_res = max(cont_res, continuation_residual(al, be, ga, z))
-    add(
-        "analytic_continuation",
-        cont_res <= 1e-10,
-        f"20 points in (0.1, 0.9), max residual={cont_res:.3e}",
-    )
-
-    # Differential-equation coefficient against its expanded genus-2 form.
-    curve = HyperellipticCurve(2, 1)
-    fde_res = 0.0
-    count = 0
-    while count < 100:
-        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        if abs(z) > 2 or abs(z**5 + 1) < 1e-3:
-            continue
-        count += 1
-        expanded = (3.0 / 16.0) * (
-            25 * z**8 / (1 + z**5) ** 2 - 24 * z**3 / (1 + z**5)
-        )
-        fde_res = max(fde_res, abs(fde_coefficient(curve, z) - expanded))
-    add(
-        "fde_coefficient_expanded",
-        fde_res <= 1e-12,
-        f"100 points |z|<=2, max residual={fde_res:.3e}",
-    )
-
-    # Exact tessellation table.
-    table_ok = True
-    for g in range(2, 11):
-        for degree, want_p, want_q in (
-            (2 * g + 1, 4 * g, 4 * g),
-            (2 * g + 2, 4 * g + 2, 2 * g + 1),
-            (6 * g - 2, 12 * g - 6, 3),
-        ):
-            spec = tessellation_for_degree(degree, g)
-            table_ok &= (spec.p, spec.q) == (want_p, want_q)
-            table_ok &= spec.hyperbolic
-            table_ok &= euler_characteristic(spec.p, spec.q) == 2 - 2 * g
-            table_ok &= cycle_count(spec.p, spec.q).divisible
-    add("tessellation_table", table_ok, "g=2..10, three degree families, exact")
-
-    # Ideal fundamental polygons have area (4g - 2)*pi exactly.
-    area_ok = True
-    for g in range(1, 7):
-        poly = fundamental_polygon(HyperellipticCurve(g, -1))
-        area_ok &= len(poly.vertices) == 4 * g
-        area_ok &= all(poly.ideal)
-        area_ok &= polygon_area(poly) == (4 * g - 2) * math.pi
-    add("ideal_polygon_area", area_ok, "g=1..6, area == (4g-2)*pi, side count 4g")
-
-    lines = []
-    for name, passed, detail in checks:
-        lines.append(f"{'PASS' if passed else 'FAIL'} {name:<28} {detail}")
-    overall = all(passed for _, passed, _ in checks)
-    lines.append(
-        f"{'OK' if overall else 'FAILED'}: {sum(p for _, p, _ in checks)}"
-        f"/{len(checks)} checks passed"
-    )
-    return (EXIT_OK if overall else EXIT_VERIFY_FAILED), "\n".join(lines) + "\n"
+    passed, report = run_checks(perturb)
+    return (EXIT_OK if passed else EXIT_VERIFY_FAILED), report
 
 
 # ---------------------------------------------------------------------------

@@ -9,19 +9,35 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class HyperellipticCurve:
+class _CurveFields(NamedTuple):
     genus: int
     sign: int
 
-    def __post_init__(self) -> None:
-        if self.genus < 1:
+
+class HyperellipticCurve(_CurveFields):
+    """An immutable (genus, sign) record, validated on every
+    construction: positional, by keyword, through `_make`/`_replace`,
+    and by unpickling with any pickle protocol.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, genus: int, sign: int) -> HyperellipticCurve:
+        if genus < 1:
             raise ValueError("genus must be at least 1")
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        return super().__new__(cls, genus, sign)
+
+    @classmethod
+    def _make(cls, iterable) -> HyperellipticCurve:
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     @property
     def degree(self) -> int:

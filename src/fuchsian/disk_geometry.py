@@ -4,15 +4,16 @@ Geodesics of the unit-disk model are diameters or circular arcs meeting
 the unit circle at right angles (|center|^2 = 1 + radius^2). This module
 builds geodesics between points, finds the geodesic apex (the point of
 the geodesic closest to the origin), constructs the order-2 elliptic map
-pairing a side with itself, and computes Gauss-Bonnet areas.
+pairing a side with itself, builds the ideal fundamental polygon of a
+curve, and computes Gauss-Bonnet areas.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
+from .curves import HyperellipticCurve, roots
 from .moebius import (
     INFINITY,
     MoebiusMap,
@@ -27,8 +28,7 @@ IDEAL_TOL = 1e-9
 ON_GEODESIC_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class GeodesicArc:
+class GeodesicArc(NamedTuple):
     """A disk geodesic through two points.
 
     kind "arc": circular arc with the given center and radius, orthogonal
@@ -43,8 +43,7 @@ class GeodesicArc:
     direction: complex | None = None
 
 
-@dataclass(frozen=True)
-class HyperbolicPolygon:
+class HyperbolicPolygon(NamedTuple):
     """Vertex-ordered polygon; side i joins vertex i to vertex i+1."""
 
     vertices: tuple[complex, ...]
@@ -231,3 +230,22 @@ def polygon_from_vertices(vertices: Sequence[complex]) -> HyperbolicPolygon:
     )
     ideal = tuple(abs(abs(v) - 1.0) <= IDEAL_TOL for v in verts)
     return HyperbolicPolygon(verts, sides, ideal)
+
+
+def fundamental_polygon(curve: HyperellipticCurve) -> HyperbolicPolygon:
+    """Ideal 4g-gon: the root polygon plus its reflection across the
+    first side, vertices counterclockwise from the first root.
+    """
+    rs = roots(curve)
+    n = len(rs)
+    side = geodesic_between(rs[0], rs[1])
+    # adjacent roots are never collinear with the origin for n >= 3
+    center, radius = side.center, side.radius
+
+    def reflect(z: complex) -> complex:
+        return center + radius**2 / (z - center).conjugate()
+
+    vertices = [rs[0]]
+    vertices.extend(reflect(rs[j]) for j in range(n - 1, 1, -1))
+    vertices.extend(rs[1:])
+    return polygon_from_vertices(vertices)

@@ -4,23 +4,22 @@ Steps: place the 2g+1 curve roots on the unit circle; join cyclically
 adjacent roots by geodesics; pair each side with the order-2 elliptic
 map fixing the side's apex (the boundary group); multiply a fixed side
 map (default the first) by every other one, checking the 2g products
-are hyperbolic (the surface group); juxtapose a reflected copy of the
-root polygon to get the 4g-sided ideal fundamental polygon.
+are hyperbolic (the surface group). The 4g-sided ideal fundamental
+polygon is `disk_geometry.fundamental_polygon`.
 """
 
 from __future__ import annotations
 
+# The group records stay dataclasses, unlike the NamedTuple records of
+# the other layers: callers derive variants with `dataclasses.replace`
+# (the benchmark's self-check bends one generator of a
+# `FuchsianGroupSpec` that way), and only the commands that build groups
+# (`generators`, `verify`) pay for importing `dataclasses`.
 from dataclasses import dataclass
 
 from . import NumericalError
 from .curves import HyperellipticCurve, roots
-from .disk_geometry import (
-    HyperbolicPolygon,
-    geodesic_apex,
-    geodesic_between,
-    polygon_from_vertices,
-    side_pairing_elliptic,
-)
+from .disk_geometry import geodesic_apex, side_pairing_elliptic
 from .moebius import (
     MapClass,
     MoebiusMap,
@@ -96,25 +95,6 @@ def subgroup_generators(base: FuchsianGroupSpec, k: int = 1) -> FuchsianGroupSpe
             )
         products.append(prod)
     return FuchsianGroupSpec("surface", tuple(products), base.curve, fixed_index=k)
-
-
-def fundamental_polygon(curve: HyperellipticCurve) -> HyperbolicPolygon:
-    """Ideal 4g-gon: the root polygon plus its reflection across the
-    first side, vertices counterclockwise from the first root.
-    """
-    rs = roots(curve)
-    n = len(rs)
-    side = geodesic_between(rs[0], rs[1])
-    # adjacent roots are never collinear with the origin for n >= 3
-    center, radius = side.center, side.radius
-
-    def reflect(z: complex) -> complex:
-        return center + radius**2 / (z - center).conjugate()
-
-    vertices = [rs[0]]
-    vertices.extend(reflect(rs[j]) for j in range(n - 1, 1, -1))
-    vertices.extend(rs[1:])
-    return polygon_from_vertices(vertices)
 
 
 def verify_group(spec: FuchsianGroupSpec) -> VerifyReport:

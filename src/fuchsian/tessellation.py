@@ -8,26 +8,23 @@ the hyperbolicity inequality (p-2)(q-2) > 4, and the p/q cycle count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class GenusRange:
+class GenusRange(NamedTuple):
     g_min: int
     g_max: int
 
 
-@dataclass(frozen=True)
-class TessellationSpec:
+class TessellationSpec(NamedTuple):
     p: int
     q: int
     genus: int
     hyperbolic: bool
 
 
-@dataclass(frozen=True)
-class CycleCount:
+class CycleCount(NamedTuple):
     ratio: Fraction
     divisible: bool
 

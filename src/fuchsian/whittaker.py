@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import NumericalError
 from .moebius import MoebiusMap, compose, normalize
@@ -115,8 +115,7 @@ def hyp2f1(alpha: float, beta: float, gamma: float, z: complex) -> complex:
     )
 
 
-@dataclass(frozen=True)
-class HdeParams:
+class HdeParams(NamedTuple):
     """Parameters (alpha, beta, gamma) = ((g-1)a, ga, 2ga), a = 1/(2g+1)."""
 
     alpha: float

@@ -13,15 +13,12 @@ import time
 from fuchsian.curves import HyperellipticCurve, fde_coefficient, roots
 from fuchsian.disk_geometry import (
     cross_ratio,
+    fundamental_polygon,
     geodesic_apex,
     geodesic_between,
     polygon_area,
 )
-from fuchsian.group_builder import (
-    boundary_generators,
-    fundamental_polygon,
-    subgroup_generators,
-)
+from fuchsian.group_builder import boundary_generators, subgroup_generators
 from fuchsian.moebius import (
     MapClass,
     MoebiusMap,

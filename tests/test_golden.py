@@ -25,6 +25,14 @@ GOLDEN_STDOUT = {
         "e6b22b10592cb96da13ff6b255c697d52fa0c625579dba79ae58cb85c9e4cc73", 1),
     ("verify", "--perturb", "0.5"): (
         "22c82f6c8e0dcf6b783efd8140e312df759ea6f8faeecf6100632d854a461707", 1),
+    ("genus", "5", "7"): (
+        "5f9ae88ae06cf2167140d81ab5ea2d0b2077ddf022c8ab13b7a6703941338339", 0),
+    ("tessellation", "--degree", "9", "--genus", "4"): (
+        "e8fcc882f23a20d61c57674e05cd88328282bcc03e40d0f7c1f3e1ca33999b58", 0),
+    ("tessellation", "--degree", "10", "--genus", "4"): (
+        "5be91c12c0a8c431913bdbf573b0796c5f11d5e52bf1c11f4afefb12097d521e", 0),
+    ("tessellation", "--degree", "22", "--genus", "4"): (
+        "2688f5cc6cec1d47e54ba1a40445524e20f2d7900cdbe8505c4044f008e45004", 0),
 }
 GOLDEN_RENDER_GENUS_5_PLUS = (
     "6cfd8fa1af7f02501448166be5fbeff0c4e1a0b4cdab21d5abf3933f082805fa"

@@ -10,11 +10,10 @@ from fuchsian.group_builder import (
     FuchsianGroupSpec,
     NonHyperbolicProductError,
     boundary_generators,
-    fundamental_polygon,
     subgroup_generators,
     verify_group,
 )
-from fuchsian.disk_geometry import polygon_area
+from fuchsian.disk_geometry import fundamental_polygon, polygon_area
 from fuchsian.moebius import MapClass, MoebiusMap, classify, compose, normalize
 
 

@@ -12,11 +12,12 @@ import fuchsian
 
 LAYERS = ("curves", "disk_geometry", "group_builder", "moebius", "tessellation", "whittaker")
 ALL = set(LAYERS)
-GEOMETRY = {"curves", "disk_geometry", "group_builder", "moebius"}
+DISK = {"curves", "disk_geometry", "moebius"}
+GEOMETRY = DISK | {"group_builder"}
 
 
-def loaded_layers(*args):
-    """Exit code and the fuchsian layers a fresh interpreter imported.
+def imported_modules(*args):
+    """Exit code and the names of the modules a fresh interpreter imported.
 
     `-X importtime` lists every module a process imports on stderr, one
     `import time: self | cumulative | name` line each.
@@ -26,13 +27,19 @@ def loaded_layers(*args):
         capture_output=True,
         text=True,
     )
-    layers = set()
+    names = set()
     for line in result.stderr.splitlines():
         if line.startswith("import time:"):
-            name = line.rsplit("|", 1)[1].strip()
-            if name.startswith("fuchsian."):
-                layers.add(name.removeprefix("fuchsian."))
-    return result.returncode, layers
+            names.add(line.rsplit("|", 1)[1].strip())
+    return result.returncode, names
+
+
+def loaded_layers(*args):
+    """Exit code and the fuchsian submodules a fresh interpreter imported."""
+    code, names = imported_modules(*args)
+    return code, {
+        name.removeprefix("fuchsian.") for name in names if name.startswith("fuchsian.")
+    }
 
 
 def test_bare_import_loads_no_layer():
@@ -46,9 +53,12 @@ COMMANDS = [
     (("tessellation", "--degree", "5", "--genus", "2"), 0, {"tessellation"}),
     (("whittaker", "--genus", "2"), 0, {"moebius", "whittaker"}),
     (("generators", "--genus", "2", "--sign", "minus"), 0, GEOMETRY),
-    (("render", "--genus", "2", "--sign", "minus", "--out", "{out}"), 0, GEOMETRY),
-    (("verify",), 0, ALL),
+    (("render", "--genus", "2", "--sign", "minus", "--out", "{out}"), 0, DISK),
+    (("verify",), 0, ALL | {"checks"}),
 ]
+# only the commands that build groups load group_builder, which alone
+# imports `dataclasses` (and, through it, `inspect`)
+WITHOUT_DATACLASSES = {"genus", "tessellation", "whittaker", "render"}
 
 
 @pytest.mark.parametrize(
@@ -57,6 +67,20 @@ COMMANDS = [
 def test_each_command_loads_only_its_layers(argv, code, want, tmp_path):
     argv = [a.format(out=tmp_path / "f.svg") for a in argv]
     assert loaded_layers("-m", "fuchsian.cli", *argv) == (code, want)
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _, _ in COMMANDS], ids=[" ".join(argv) for argv, _, _ in COMMANDS]
+)
+def test_each_command_compiles_the_cli_once_and_skips_dataclasses(argv, tmp_path):
+    argv = [a.format(out=tmp_path / "f.svg") for a in argv]
+    _, names = imported_modules("-m", "fuchsian.cli", *argv)
+    assert "fuchsian" in names
+    # under -m the CLI runs as __main__; an import of fuchsian.cli would
+    # compile and execute it a second time
+    assert "fuchsian.cli" not in names
+    if argv[0] in WITHOUT_DATACLASSES:
+        assert not {"dataclasses", "inspect"} & names
 
 
 def test_every_exported_name_is_its_defining_modules_object():

@@ -1,0 +1,80 @@
+"""Contract of the layers' value records: immutable NamedTuples that
+compare, hash, pickle and print by value."""
+
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from fuchsian.curves import HyperellipticCurve
+from fuchsian.disk_geometry import GeodesicArc, HyperbolicPolygon
+from fuchsian.tessellation import CycleCount, GenusRange, TessellationSpec
+from fuchsian.whittaker import HdeParams
+
+ARC = GeodesicArc("arc", (1j, 1 + 0j), 1 + 1j, 1.0, None)
+
+# (record type, keyword arguments, one field changed, expected repr)
+RECORDS = [
+    (HyperellipticCurve, {"genus": 2, "sign": -1}, {"sign": 1},
+     "HyperellipticCurve(genus=2, sign=-1)"),
+    # center, radius and direction default to None
+    (GeodesicArc, {"kind": "diameter", "endpoints": (-1 + 0j, 1 + 0j),
+                   "direction": 1 + 0j}, {"direction": -1 + 0j},
+     "GeodesicArc(kind='diameter', endpoints=((-1+0j), (1+0j)), "
+     "center=None, radius=None, direction=(1+0j))"),
+    (HyperbolicPolygon, {"vertices": (1j, 1 + 0j), "sides": (ARC,),
+                         "ideal": (True, True)}, {"ideal": (True, False)},
+     "HyperbolicPolygon(vertices=(1j, (1+0j)), sides=(GeodesicArc(kind='arc', "
+     "endpoints=(1j, (1+0j)), center=(1+1j), radius=1.0, direction=None),), "
+     "ideal=(True, True))"),
+    (GenusRange, {"g_min": 4, "g_max": 12}, {"g_max": 11},
+     "GenusRange(g_min=4, g_max=12)"),
+    (TessellationSpec, {"p": 8, "q": 8, "genus": 2, "hyperbolic": True}, {"q": 9},
+     "TessellationSpec(p=8, q=8, genus=2, hyperbolic=True)"),
+    (CycleCount, {"ratio": Fraction(2, 1), "divisible": True},
+     {"ratio": Fraction(3, 2), "divisible": False},
+     "CycleCount(ratio=Fraction(2, 1), divisible=True)"),
+    (HdeParams, {"alpha": 0.2, "beta": 0.4, "gamma": 0.8, "a": 0.2, "g": 2},
+     {"g": 3}, "HdeParams(alpha=0.2, beta=0.4, gamma=0.8, a=0.2, g=2)"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, changed, text", RECORDS, ids=[r[0].__name__ for r in RECORDS]
+)
+def test_value_record_contract(cls, fields, changed, text):
+    record = cls(**fields)
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    twin = cls(*record)
+    assert twin == record and hash(twin) == hash(record)
+    assert len({record, twin}) == 1
+    # a NamedTuple is a tuple: it equals the plain tuple of its values
+    assert record == tuple(record)
+    assert record._replace(**changed) != record
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        restored = pickle.loads(pickle.dumps(record, protocol=protocol))
+        assert type(restored) is cls and restored == record
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("genus, sign", [(0, 1), (-3, -1), (2, 2), (2, 0)])
+def test_invalid_curve_raises_value_error_on_every_path(genus, sign):
+    with pytest.raises(ValueError):
+        HyperellipticCurve(genus, sign)
+    with pytest.raises(ValueError):
+        HyperellipticCurve(genus=genus, sign=sign)
+    with pytest.raises(ValueError):
+        HyperellipticCurve._make((genus, sign))
+    with pytest.raises(ValueError):
+        HyperellipticCurve(2, 1)._replace(genus=genus, sign=sign)
+    # a record forged past __new__ is validated again when unpickled
+    forged = tuple.__new__(HyperellipticCurve, (genus, sign))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(forged, protocol=protocol)
+        with pytest.raises(ValueError):
+            pickle.loads(data)
+
