@@ -244,22 +244,20 @@ def run_checks(perturb: float = 0.0) -> tuple[bool, str]:
         z = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.3, 0.3))
         if abs(z) >= 0.9:
             z *= 0.9 / abs(z) * 0.99
-        sym_res = max(sym_res, abs(hyp2f1(al, be, ga, z) - hyp2f1(be, al, ga, z)))
+        f = hyp2f1(al, be, ga, z)
+        sym_res = max(sym_res, abs(f - hyp2f1(be, al, ga, z)))
         swap_res = max(
             swap_res, abs(hyp2f1(al, be, be, z) - (1 - z) ** (-al))
         )
         euler_res = max(
             euler_res,
-            abs(
-                hyp2f1(al, be, ga, z)
-                - (1 - z) ** (ga - al - be) * hyp2f1(ga - al, ga - be, ga, z)
-            ),
+            abs(f - (1 - z) ** (ga - al - be) * hyp2f1(ga - al, ga - be, ga, z)),
         )
         contig_res = max(
             contig_res,
             abs(
                 (1 - z) * hyp2f1(al, be, ga - 1, z)
-                - (1 + z * (al + be - 2 * ga + 1) / (ga - 1)) * hyp2f1(al, be, ga, z)
+                - (1 + z * (al + be - 2 * ga + 1) / (ga - 1)) * f
                 - z * (al - ga) * (be - ga) / (ga * (ga - 1))
                 * hyp2f1(al, be, ga + 1, z)
             ),

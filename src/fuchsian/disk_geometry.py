@@ -18,7 +18,6 @@ from .moebius import (
     INFINITY,
     MoebiusMap,
     Point,
-    apply,
     is_infinite,
     normalize,
 )

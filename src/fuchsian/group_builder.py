@@ -23,6 +23,7 @@ from .disk_geometry import geodesic_apex, side_pairing_elliptic
 from .moebius import (
     MapClass,
     MoebiusMap,
+    _entries_class,
     classify,
     compose,
     normalize,
@@ -106,22 +107,31 @@ def verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
     """
     entries = []
     for idx, gen in enumerate(spec.generators, start=1):
-        det_res = abs(gen.det - 1.0)
+        a, b, c, d = gen.a, gen.b, gen.c, gen.d
+        det = a * d - b * c
+        trace = a + d
+        det_res = abs(det - 1.0)
         try:
-            cls = classify(gen)
+            cls = _entries_class(a, b, c, d, det)
             cls_name = cls.value
         except ValueError:
             cls = None
             cls_name = "unclassifiable"
         inv_res: float | None = None
         if spec.kind == "boundary":
-            sq = compose(gen, gen)
+            # the entries of compose(gen, gen), without building that map
+            sq_a, sq_b = a * a + b * c, a * b + b * d
+            sq_c, sq_d = c * a + d * c, c * b + d * d
+            if sq_a * sq_d - sq_b * sq_c == 0:
+                # compose's MoebiusMap._make rejected such a square
+                # (e.g. det ~1e-200 underflows to 0 when squared)
+                raise ValueError("degenerate map: determinant is zero")
             inv_res = max(
-                abs(sq.a + 1.0), abs(sq.b), abs(sq.c), abs(sq.d + 1.0)
+                abs(sq_a + 1.0), abs(sq_b), abs(sq_c), abs(sq_d + 1.0)
             )
             ok = (
                 det_res <= DET_TOL
-                and abs(gen.trace) <= TRACE_TOL
+                and abs(trace) <= TRACE_TOL
                 and cls is MapClass.ELLIPTIC
                 and inv_res <= INVOLUTION_TOL
             )
@@ -131,7 +141,7 @@ def verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
             VerifyEntry(
                 label=f"{spec.kind}[{idx}]",
                 det_residual=det_res,
-                trace=gen.trace,
+                trace=trace,
                 map_class=cls_name,
                 involution_residual=inv_res,
                 passed=ok,

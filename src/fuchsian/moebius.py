@@ -8,7 +8,8 @@ The point at infinity is a first-class value (INFINITY): cz + d = 0
 sends z to it, and it maps to a/c. Classification is by the trace of the
 determinant-1 normalization: |tr| < 2 elliptic, = 2 parabolic, > 2
 hyperbolic. Non-real normalized traces are rejected, since such maps are
-not isometries of the disk.
+not isometries of the disk. That trace is computed from the quotients
+normalize would form, without building the normalized map.
 
 The public constructor MoebiusMap(a, b, c, d) validates: it coerces each
 entry to complex and rejects a zero determinant. The internal products
@@ -170,11 +171,15 @@ def normalize(m: MoebiusMap) -> MoebiusMap:
     The principal branch (argument in (-pi, pi]) makes the output
     deterministic; the projective action is unchanged.
     """
-    det = m.det
+    s = _det_root(m.det)
+    return MoebiusMap._make(m.a / s, m.b / s, m.c / s, m.d / s)
+
+
+def _det_root(det: complex) -> complex:
+    """The principal square root of det that normalize divides by."""
     if abs(det.imag) <= _DET_REAL_SNAP * abs(det):
         det = complex(det.real, 0.0)
-    s = cmath.sqrt(det)
-    return MoebiusMap._make(m.a / s, m.b / s, m.c / s, m.d / s)
+    return cmath.sqrt(det)
 
 
 def classify(m: MoebiusMap) -> MapClass:
@@ -184,7 +189,25 @@ def classify(m: MoebiusMap) -> MapClass:
     not real to within TRACE_IMAG_TOL (the map is then not a disk isometry
     up to scale).
     """
-    tr = normalize(m).trace
+    a, b, c, d = m.a, m.b, m.c, m.d
+    return _entries_class(a, b, c, d, a * d - b * c)
+
+
+def _entries_class(
+    a: complex, b: complex, c: complex, d: complex, det: complex
+) -> MapClass:
+    """classify() of the map (a, b; c, d) with det = a*d - b*c.
+
+    The trace of normalize()'s map is formed from the same quotients,
+    a/s + d/s, without building that map.
+    """
+    s = _det_root(det)
+    a, d = a / s, d / s
+    # normalize() builds through MoebiusMap._make, whose check rejects an
+    # ill-conditioned map whose normalized determinant rounds to zero.
+    if a * d - (b / s) * (c / s) == 0:
+        raise ValueError("degenerate map: determinant is zero")
+    tr = a + d
     if abs(tr.imag) > TRACE_IMAG_TOL:
         raise NonRealTraceError(
             f"normalized trace {tr:.6g} is not real: no isometry class"

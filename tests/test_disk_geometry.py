@@ -19,7 +19,7 @@ from fuchsian.disk_geometry import (
     triangle_area,
     vertex_cycle_angle_check,
 )
-from fuchsian.moebius import INFINITY, MoebiusMap, apply, compose, normalize
+from fuchsian.moebius import INFINITY, MoebiusMap, apply, compose
 
 
 def disk_point(rng: random.Random, rmax: float = 0.95) -> complex:

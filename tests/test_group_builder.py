@@ -7,14 +7,20 @@ import pytest
 
 from fuchsian.curves import HyperellipticCurve, roots
 from fuchsian.group_builder import (
+    DET_TOL,
+    INVOLUTION_TOL,
+    TRACE_TOL,
     FuchsianGroupSpec,
     NonHyperbolicProductError,
+    VerifyEntry,
+    VerifyReport,
     boundary_generators,
     subgroup_generators,
     verify_group,
 )
 from fuchsian.disk_geometry import fundamental_polygon, polygon_area
 from fuchsian.moebius import MapClass, MoebiusMap, classify, compose, normalize
+from test_moebius import ILL_CONDITIONED_MAPS, outcome, reference_classify
 
 
 def test_boundary_generators_frozen_genus_two():
@@ -169,3 +175,94 @@ def test_verify_group_checks_hyperbolicity_of_products():
     report = verify_group(elliptic_posing_as_product)
     assert not report.passed
     assert report.entries[0].map_class == "elliptic"
+
+
+def reference_verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
+    """verify_group with every check read off maps built by compose and
+    the normalized-map classification."""
+    entries = []
+    for idx, gen in enumerate(spec.generators, start=1):
+        det_res = abs(gen.det - 1.0)
+        try:
+            cls = reference_classify(gen)
+            cls_name = cls.value
+        except ValueError:
+            cls = None
+            cls_name = "unclassifiable"
+        inv_res = None
+        if spec.kind == "boundary":
+            sq = compose(gen, gen)
+            inv_res = max(
+                abs(sq.a + 1.0), abs(sq.b), abs(sq.c), abs(sq.d + 1.0)
+            )
+            ok = (
+                det_res <= DET_TOL
+                and abs(gen.trace) <= TRACE_TOL
+                and cls is MapClass.ELLIPTIC
+                and inv_res <= INVOLUTION_TOL
+            )
+        else:
+            ok = det_res <= DET_TOL and cls is MapClass.HYPERBOLIC
+        entries.append(
+            VerifyEntry(
+                label=f"{spec.kind}[{idx}]",
+                det_residual=det_res,
+                trace=gen.trace,
+                map_class=cls_name,
+                involution_residual=inv_res,
+                passed=ok,
+            )
+        )
+    return VerifyReport(tuple(entries), all(e.passed for e in entries))
+
+
+def test_verify_group_matches_reference_field_for_field():
+    specs = []
+    for g in range(1, 42):
+        for sign in (1, -1):
+            base = boundary_generators(HyperellipticCurve(g, sign))
+            specs.append(base)
+            for k in sorted({1, g, 2 * g + 1}):
+                specs.append(subgroup_generators(base, k))
+    curve = specs[0].curve
+    tiny = MoebiusMap(1e-100, 0, 0, 1e-100)  # its square's det underflows
+    bent = FuchsianGroupSpec("boundary", (tiny,), curve)
+    ill = FuchsianGroupSpec("surface", ILL_CONDITIONED_MAPS, curve, fixed_index=1)
+    specs += [bent, ill]
+    for spec in specs:
+        assert outcome(verify_group, spec) == outcome(reference_verify_group, spec)
+    assert outcome(verify_group, bent)[0] is ValueError
+    assert {e.map_class for e in verify_group(ill).entries} == {"unclassifiable"}
+
+
+def count_map_constructions(monkeypatch) -> list[str]:
+    """Record every MoebiusMap built through the constructor or _make."""
+    built: list[str] = []
+    make, init = MoebiusMap._make.__func__, MoebiusMap.__init__
+
+    def counted_make(cls, *entries):
+        built.append("_make")
+        return make(cls, *entries)
+
+    def counted_init(self, *entries):
+        built.append("__init__")
+        init(self, *entries)
+
+    monkeypatch.setattr(MoebiusMap, "_make", classmethod(counted_make))
+    monkeypatch.setattr(MoebiusMap, "__init__", counted_init)
+    return built
+
+
+def test_classify_and_verify_group_build_no_maps(monkeypatch):
+    base = boundary_generators(HyperellipticCurve(5, 1))
+    surface = subgroup_generators(base, 3)
+    built = count_map_constructions(monkeypatch)
+    compose(base.generators[0], base.generators[1])
+    MoebiusMap(1, 0, 0, 1)
+    assert built == ["_make", "__init__"]
+    built.clear()
+    for gen in base.generators + surface.generators:
+        classify(gen)
+    assert built == []
+    assert verify_group(base).passed and verify_group(surface).passed
+    assert built == []

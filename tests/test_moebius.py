@@ -10,11 +10,13 @@ import pytest
 
 from fuchsian.moebius import (
     _DET_REAL_SNAP,
+    CLASS_BOUNDARY_TOL,
     IDENTITY,
     INFINITY,
     MapClass,
     MoebiusMap,
     NonRealTraceError,
+    TRACE_IMAG_TOL,
     apply,
     classify,
     compose,
@@ -100,6 +102,60 @@ def reference_inverse(m: MoebiusMap) -> MoebiusMap:
     return MoebiusMap(m.d, -m.b, -m.c, m.a)
 
 
+def reference_classify(m: MoebiusMap) -> MapClass:
+    """The classification read off the normalized map that normalize builds."""
+    tr = reference_normalize(m).trace
+    if abs(tr.imag) > TRACE_IMAG_TOL:
+        raise NonRealTraceError(
+            f"normalized trace {tr:.6g} is not real: no isometry class"
+        )
+    t = abs(tr.real)
+    if abs(t - 2.0) <= CLASS_BOUNDARY_TOL:
+        return MapClass.PARABOLIC
+    if t < 2.0:
+        return MapClass.ELLIPTIC
+    return MapClass.HYPERBOLIC
+
+
+def outcome(fn, *args):
+    """fn's result, or the class and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# Ill-conditioned maps (entries ~1e8, det ~1): normalizing rounds their
+# determinant to exactly 0, so building the normalized map raises.
+ILL_CONDITIONED_MAPS = (
+    MoebiusMap(
+        -50914828.389608726, -30077051.477918237,
+        81009398.92713359, 47854896.869767025,
+    ),
+    MoebiusMap(
+        -22308235.680836022 + 60706010.634466186j, -29100648.843206108,
+        99000929.55242687 + 62810527.176012166j,
+        -11162235.29321518 + 51559986.05391926j,
+    ),
+)
+
+
+def near_parabolic_map(rng: random.Random) -> MoebiusMap:
+    """A map whose normalized trace lies within 1e-10 of +-2 or of the
+    edge +-(2 + CLASS_BOUNDARY_TOL), scaled by a real, imaginary or
+    complex factor."""
+    edge = rng.choice((0.0, CLASS_BOUNDARY_TOL, -CLASS_BOUNDARY_TOL))
+    tr = rng.choice((2.0, -2.0)) * (1 + edge) + rng.uniform(-1e-10, 1e-10)
+    a = rng.uniform(-2, 2)
+    b = rng.uniform(0.5, 2)
+    c = (a * (tr - a) - 1) / b
+    scale = rng.choice(
+        (rng.uniform(0.1, 3), 1j * rng.uniform(0.1, 3),
+         complex(rng.uniform(-3, 3), rng.uniform(-3, 3)))
+    )
+    return MoebiusMap(a * scale, b * scale, c * scale, (tr - a) * scale)
+
+
 def test_products_match_reference_formulas_exactly():
     rng = random.Random(15)
     maps = []
@@ -113,6 +169,27 @@ def test_products_match_reference_formulas_exactly():
         assert compose(m1, m2) == reference_compose(m1, m2)
         assert normalize(m1) == reference_normalize(m1)
         assert inverse(m1) == reference_inverse(m1)
+
+
+def test_classify_matches_the_normalized_map_trace_exactly():
+    rng = random.Random(16)
+    maps = list(ILL_CONDITIONED_MAPS)
+    while len(maps) < 200:
+        kind = len(maps) % 3
+        if kind == 0:
+            maps.append(near_parabolic_map(rng))
+            continue
+        m = random_map(rng)
+        if kind == 1:
+            # real entries give a real determinant: the snap branch
+            m = MoebiusMap(m.a.real, m.b.real, m.c.real, m.d.real)
+        maps.append(m)
+    seen = set()
+    for m in maps:
+        got, want = outcome(classify, m), outcome(reference_classify, m)
+        assert got == want
+        seen.add(want if isinstance(want, MapClass) else want[0])
+    assert seen == set(MapClass) | {NonRealTraceError, ValueError}
 
 
 def test_compose_is_matrix_product_and_matches_pointwise_composition():
