@@ -144,14 +144,12 @@ def run_genus(m: int, n: int) -> dict:
 
 def run_generators(g: int, sign: int, k: int = 1) -> dict:
     from .curves import HyperellipticCurve, roots
-    from .disk_geometry import geodesic_apex
-    from .group_builder import boundary_generators, subgroup_generators, verify_group
+    from .group_builder import _boundary_group, subgroup_generators, verify_group
 
     curve = HyperellipticCurve(g, sign)
     rs = roots(curve)
     n = len(rs)
-    mids = [geodesic_apex(rs[j], rs[(j + 1) % n]) for j in range(n)]
-    base = boundary_generators(curve)
+    mids, base = _boundary_group(curve)
     sub = subgroup_generators(base, k)
     rep_base = verify_group(base)
     rep_sub = verify_group(sub)
@@ -323,13 +321,12 @@ def render_svg(curve: HyperellipticCurve) -> str:
     polygon, labeled roots (r1..rn) and side apexes (m1..mn).
     """
     from .curves import roots
-    from .disk_geometry import fundamental_polygon, geodesic_apex, polygon_from_vertices
+    from .disk_geometry import _arc_apex, fundamental_polygon, polygon_from_vertices
 
     rs = roots(curve)
-    n = len(rs)
-    mids = [geodesic_apex(rs[j], rs[(j + 1) % n]) for j in range(n)]
-    fund = fundamental_polygon(curve)
     root_poly = polygon_from_vertices(rs)
+    mids = [_arc_apex(side) for side in root_poly.sides]
+    fund = fundamental_polygon(curve)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -14,17 +14,12 @@ import math
 from typing import NamedTuple, Sequence
 
 from .curves import HyperellipticCurve, roots
-from .moebius import (
-    INFINITY,
-    MoebiusMap,
-    Point,
-    is_infinite,
-    normalize,
-)
+from .moebius import MoebiusMap, Point, _normalized, is_infinite
 
 COLLINEAR_TOL = 1e-9
 IDEAL_TOL = 1e-9
 ON_GEODESIC_TOL = 1e-6
+_THREE_POINTS = "side pairing needs three distinct points"
 
 
 class GeodesicArc(NamedTuple):
@@ -113,7 +108,11 @@ def geodesic_apex(z1: complex, z2: complex) -> complex:
     ((1 - sin a)/cos a) e^(i (t1+t2)/2) with a = |t1 - t2|/2; diameters
     give the origin.
     """
-    g = geodesic_between(z1, z2)
+    return _arc_apex(geodesic_between(z1, z2))
+
+
+def _arc_apex(g: GeodesicArc) -> complex:
+    """geodesic_apex() of the endpoints of an arc already built."""
     if g.kind == "diameter":
         return 0j
     return g.center * (1.0 - g.radius / abs(g.center))
@@ -133,9 +132,23 @@ def side_pairing_elliptic(z1: complex, z2: complex, m: complex) -> MoebiusMap:
     normalized (det 1) with trace exactly 0, so it is an involution.
     """
     z1, z2, m = complex(z1), complex(z2), complex(m)
-    if z1 == z2 or m == z1 or m == z2:
-        raise ValueError("side pairing needs three distinct points")
-    g = geodesic_between(z1, z2)
+    if z1 == z2:
+        # before geodesic_between, whose own error names coincidence
+        raise ValueError(_THREE_POINTS)
+    return _side_involution(geodesic_between(z1, z2), m)
+
+
+def _side_involution(g: GeodesicArc, m: complex) -> MoebiusMap:
+    """side_pairing_elliptic() of g's endpoints and the complex m, on the
+    arc g already built, with one MoebiusMap._make.
+
+    A zero determinant of the unnormalized entries is a numerical
+    breakdown here (the three points are distinct and on one geodesic),
+    so it raises moebius.DegenerateMapError.
+    """
+    z1, z2 = g.endpoints
+    if m == z1 or m == z2:
+        raise ValueError(_THREE_POINTS)
     if point_on_geodesic(m, g) > ON_GEODESIC_TOL:
         raise ValueError("fixed point is not on the geodesic through the endpoints")
     p = z1 * (m - z2) ** 2
@@ -143,7 +156,7 @@ def side_pairing_elliptic(z1: complex, z2: complex, m: complex) -> MoebiusMap:
     a = p - q
     b = z2 * q - z1 * p
     c = (m - z2) ** 2 - (m - z1) ** 2
-    return normalize(MoebiusMap(a, b, c, -a))
+    return _normalized(a, b, c, -a)
 
 
 def triangle_area(alpha: float, beta: float, gamma: float) -> float:

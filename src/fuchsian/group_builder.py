@@ -6,6 +6,12 @@ map fixing the side's apex (the boundary group); multiply a fixed side
 map (default the first) by every other one, checking the 2g products
 are hyperbolic (the surface group). The 4g-sided ideal fundamental
 polygon is `disk_geometry.fundamental_polygon`.
+
+Each generator is built once: one geodesic per side gives both its apex
+and its side map, and each product is multiplied and normalized into a
+single map, through the entry helpers of `disk_geometry` and `moebius`
+that the public `geodesic_apex`, `side_pairing_elliptic`, `compose` and
+`normalize` wrap, so the results are the same floats.
 """
 
 from __future__ import annotations
@@ -19,14 +25,16 @@ from dataclasses import dataclass
 
 from . import NumericalError
 from .curves import HyperellipticCurve, roots
-from .disk_geometry import geodesic_apex, side_pairing_elliptic
+from .disk_geometry import _arc_apex, _side_involution, geodesic_between
 from .moebius import (
+    DegenerateMapError,
     MapClass,
     MoebiusMap,
+    _DEGENERATE,
     _entries_class,
+    _normalized,
+    _product,
     classify,
-    compose,
-    normalize,
 )
 
 DET_TOL = 1e-9
@@ -63,21 +71,37 @@ class VerifyReport:
 
 
 def boundary_generators(curve: HyperellipticCurve) -> FuchsianGroupSpec:
-    """One elliptic side map per cyclically adjacent root pair."""
+    """One elliptic side map per cyclically adjacent root pair.
+
+    Generator j is side_pairing_elliptic(z1, z2, geodesic_apex(z1, z2))
+    for roots z1 = r_j and z2 = r_(j+1), computed from one geodesic and
+    built as one map.
+    """
+    return _boundary_group(curve)[1]
+
+
+def _boundary_group(
+    curve: HyperellipticCurve,
+) -> tuple[list[complex], FuchsianGroupSpec]:
+    """The side apexes and the boundary group, one geodesic per side."""
     rs = roots(curve)
     n = len(rs)
-    gens = []
+    apexes, gens = [], []
     for j in range(n):
-        z1, z2 = rs[j], rs[(j + 1) % n]
-        gens.append(side_pairing_elliptic(z1, z2, geodesic_apex(z1, z2)))
-    return FuchsianGroupSpec("boundary", tuple(gens), curve)
+        side = geodesic_between(rs[j], rs[(j + 1) % n])
+        apex = _arc_apex(side)
+        apexes.append(apex)
+        gens.append(_side_involution(side, apex))
+    return apexes, FuchsianGroupSpec("boundary", tuple(gens), curve)
 
 
 def subgroup_generators(base: FuchsianGroupSpec, k: int = 1) -> FuchsianGroupSpec:
     """Products of the fixed side map (1-based index k, on the left)
     with every other one, ascending; all must be hyperbolic.
 
-    Raises NonHyperbolicProductError if any product fails the check.
+    Product j is normalize(compose(T_k, T_j)), multiplied and normalized
+    into one map. Raises NonHyperbolicProductError if any product fails
+    the check.
     """
     if base.kind != "boundary":
         raise ValueError("subgroup construction needs the boundary group")
@@ -89,7 +113,7 @@ def subgroup_generators(base: FuchsianGroupSpec, k: int = 1) -> FuchsianGroupSpe
     for j in range(1, n + 1):
         if j == k:
             continue
-        prod = normalize(compose(fixed, base.generators[j - 1]))
+        prod = _normalized(*_product(fixed, base.generators[j - 1]))
         if classify(prod) is not MapClass.HYPERBOLIC:
             raise NonHyperbolicProductError(
                 f"product of side maps {k} and {j} is not hyperbolic"
@@ -125,7 +149,7 @@ def verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
             if sq_a * sq_d - sq_b * sq_c == 0:
                 # compose's MoebiusMap._make rejected such a square
                 # (e.g. det ~1e-200 underflows to 0 when squared)
-                raise ValueError("degenerate map: determinant is zero")
+                raise DegenerateMapError(_DEGENERATE)
             inv_res = max(
                 abs(sq_a + 1.0), abs(sq_b), abs(sq_c), abs(sq_d + 1.0)
             )

@@ -12,10 +12,15 @@ not isometries of the disk. That trace is computed from the quotients
 normalize would form, without building the normalized map.
 
 The public constructor MoebiusMap(a, b, c, d) validates: it coerces each
-entry to complex and rejects a zero determinant. The internal products
-(compose, normalize, inverse) already hold complex entries and build
-through the private MoebiusMap._make, which skips the coercion but keeps
-the zero-determinant check.
+entry to complex and rejects a zero determinant as bad input
+(ValueError). The internal products (compose, normalize, inverse)
+already hold complex entries and build through the private
+MoebiusMap._make, which skips the coercion but keeps the
+zero-determinant check; there a zero determinant comes from the
+arithmetic (underflow, or cancellation in an ill-conditioned map), so it
+raises DegenerateMapError, a numerical breakdown. Callers that need a
+product or a normalized map without the map in between use the entry
+helpers _product and _normalized, which compose and normalize wrap.
 """
 
 from __future__ import annotations
@@ -62,6 +67,18 @@ class NonRealTraceError(NumericalError, ValueError):
     """The normalized trace is not real: a numerical breakdown, not bad input."""
 
 
+class DegenerateMapError(NumericalError, ValueError):
+    """Computed entries have determinant zero: a numerical breakdown.
+
+    Only maps built from arithmetic raise it (MoebiusMap._make and the
+    checks that stand in for it); a zero determinant passed to the public
+    constructor stays a plain ValueError.
+    """
+
+
+_DEGENERATE = "degenerate map: determinant is zero"
+
+
 class MoebiusMap:
     """Immutable 2x2 complex matrix (a, b; c, d) with nonzero determinant.
 
@@ -85,13 +102,13 @@ class MoebiusMap:
         _set_c(self, complex(self.c))
         _set_d(self, complex(self.d))
         if self.det == 0:
-            raise ValueError("degenerate map: determinant is zero")
+            raise ValueError(_DEGENERATE)
 
     @classmethod
     def _make(cls, a: complex, b: complex, c: complex, d: complex) -> MoebiusMap:
-        """Construct from entries that are already complex."""
+        """Construct from computed entries that are already complex."""
         if a * d - b * c == 0:
-            raise ValueError("degenerate map: determinant is zero")
+            raise DegenerateMapError(_DEGENERATE)
         self = _new_object(cls)
         _set_a(self, a)
         _set_b(self, b)
@@ -145,7 +162,14 @@ IDENTITY = MoebiusMap(1, 0, 0, 1)
 
 def compose(m1: MoebiusMap, m2: MoebiusMap) -> MoebiusMap:
     """Matrix product m1*m2, realizing the composition m1 after m2."""
-    return MoebiusMap._make(
+    return MoebiusMap._make(*_product(m1, m2))
+
+
+def _product(
+    m1: MoebiusMap, m2: MoebiusMap
+) -> tuple[complex, complex, complex, complex]:
+    """The entries of compose(m1, m2), without building that map."""
+    return (
         m1.a * m2.a + m1.b * m2.c,
         m1.a * m2.b + m1.b * m2.d,
         m1.c * m2.a + m1.d * m2.c,
@@ -171,8 +195,20 @@ def normalize(m: MoebiusMap) -> MoebiusMap:
     The principal branch (argument in (-pi, pi]) makes the output
     deterministic; the projective action is unchanged.
     """
-    s = _det_root(m.det)
-    return MoebiusMap._make(m.a / s, m.b / s, m.c / s, m.d / s)
+    return _normalized(m.a, m.b, m.c, m.d)
+
+
+def _normalized(a: complex, b: complex, c: complex, d: complex) -> MoebiusMap:
+    """normalize() of the map (a, b; c, d), built with one MoebiusMap._make.
+
+    The entries may be computed ones that no map holds yet, so their own
+    determinant is checked first, as MoebiusMap._make would check it.
+    """
+    det = a * d - b * c
+    if det == 0:
+        raise DegenerateMapError(_DEGENERATE)
+    s = _det_root(det)
+    return MoebiusMap._make(a / s, b / s, c / s, d / s)
 
 
 def _det_root(det: complex) -> complex:
@@ -206,7 +242,7 @@ def _entries_class(
     # normalize() builds through MoebiusMap._make, whose check rejects an
     # ill-conditioned map whose normalized determinant rounds to zero.
     if a * d - (b / s) * (c / s) == 0:
-        raise ValueError("degenerate map: determinant is zero")
+        raise DegenerateMapError(_DEGENERATE)
     tr = a + d
     if abs(tr.imag) > TRACE_IMAG_TOL:
         raise NonRealTraceError(

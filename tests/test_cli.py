@@ -15,7 +15,12 @@ from fuchsian.group_builder import (
     NonHyperbolicProductError,
     verify_group,
 )
-from fuchsian.moebius import MoebiusMap, NonRealTraceError, normalize
+from fuchsian.moebius import (
+    DegenerateMapError,
+    MoebiusMap,
+    NonRealTraceError,
+    normalize,
+)
 
 
 def run_cli(*args):
@@ -230,6 +235,7 @@ def test_exit_code_algorithm_failure(monkeypatch):
     for error, old_base in (
         (NonHyperbolicProductError, RuntimeError),
         (NonRealTraceError, ValueError),
+        (DegenerateMapError, ValueError),
         (whittaker.SeriesNotConvergedError, ValueError),
     ):
         assert issubclass(error, NumericalError)

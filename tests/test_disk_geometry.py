@@ -177,10 +177,11 @@ def test_side_pairing_is_an_involution():
 
 def test_side_pairing_requires_fixed_point_on_geodesic():
     z1, z2 = cmath.exp(2j * math.pi / 5), cmath.exp(4j * math.pi / 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not on the geodesic"):
         side_pairing_elliptic(z1, z2, 0.9j)
-    with pytest.raises(ValueError):
-        side_pairing_elliptic(z1, z1, 0.5)
+    for points in ((z1, z1, 0.5), (z1, z2, z1), (z1, z2, z2)):
+        with pytest.raises(ValueError, match="three distinct points"):
+            side_pairing_elliptic(*points)
 
 
 def test_side_pairing_frozen_first_generator():

@@ -18,9 +18,31 @@ from fuchsian.group_builder import (
     subgroup_generators,
     verify_group,
 )
-from fuchsian.disk_geometry import fundamental_polygon, polygon_area
-from fuchsian.moebius import MapClass, MoebiusMap, classify, compose, normalize
-from test_moebius import ILL_CONDITIONED_MAPS, outcome, reference_classify
+from fuchsian.disk_geometry import (
+    ON_GEODESIC_TOL,
+    fundamental_polygon,
+    geodesic_apex,
+    geodesic_between,
+    point_on_geodesic,
+    polygon_area,
+    side_pairing_elliptic,
+)
+from fuchsian.moebius import (
+    DegenerateMapError,
+    MapClass,
+    MoebiusMap,
+    NonRealTraceError,
+    classify,
+    compose,
+    normalize,
+)
+from test_moebius import (
+    ILL_CONDITIONED_MAPS,
+    outcome,
+    reference_classify,
+    reference_compose,
+    reference_normalize,
+)
 
 
 def test_boundary_generators_frozen_genus_two():
@@ -231,7 +253,7 @@ def test_verify_group_matches_reference_field_for_field():
     specs += [bent, ill]
     for spec in specs:
         assert outcome(verify_group, spec) == outcome(reference_verify_group, spec)
-    assert outcome(verify_group, bent)[0] is ValueError
+    assert outcome(verify_group, bent)[0] is DegenerateMapError
     assert {e.map_class for e in verify_group(ill).entries} == {"unclassifiable"}
 
 
@@ -266,3 +288,100 @@ def test_classify_and_verify_group_build_no_maps(monkeypatch):
     assert built == []
     assert verify_group(base).passed and verify_group(surface).passed
     assert built == []
+
+
+def test_boundary_and_subgroup_build_one_map_per_generator(monkeypatch):
+    curve = HyperellipticCurve(5, 1)
+    built = count_map_constructions(monkeypatch)
+    base = boundary_generators(curve)
+    assert built == ["_make"] * 11
+    built.clear()
+    surface = subgroup_generators(base, 3)
+    assert built == ["_make"] * 10
+    assert len(surface.generators) == 10
+
+
+# The public formulations of each generator, in the form the group
+# builder used before it shared one geodesic per side and one map per
+# product: the side maps through two geodesics, a validating
+# construction and a separate normalization.
+
+
+def reference_side_map(z1: complex, z2: complex) -> MoebiusMap:
+    side = geodesic_between(z1, z2)
+    m = 0j if side.kind == "diameter" else (
+        side.center * (1.0 - side.radius / abs(side.center))
+    )
+    if z1 == z2 or m == z1 or m == z2:
+        raise ValueError("side pairing needs three distinct points")
+    if point_on_geodesic(m, geodesic_between(z1, z2)) > ON_GEODESIC_TOL:
+        raise ValueError("fixed point is not on the geodesic through the endpoints")
+    p = z1 * (m - z2) ** 2
+    q = z2 * (m - z1) ** 2
+    a = p - q
+    return reference_normalize(
+        MoebiusMap(a, z2 * q - z1 * p, (m - z2) ** 2 - (m - z1) ** 2, -a)
+    )
+
+
+def public_side_map(z1: complex, z2: complex) -> MoebiusMap:
+    return side_pairing_elliptic(z1, z2, geodesic_apex(z1, z2))
+
+
+def side_group(curve, side_map) -> FuchsianGroupSpec:
+    rs = roots(curve)
+    n = len(rs)
+    gens = tuple(side_map(rs[j], rs[(j + 1) % n]) for j in range(n))
+    return FuchsianGroupSpec("boundary", gens, curve)
+
+
+def product_group(base, k, product, map_class) -> FuchsianGroupSpec:
+    fixed = base.generators[k - 1]
+    products = []
+    for j, gen in enumerate(base.generators, start=1):
+        if j == k:
+            continue
+        prod = product(fixed, gen)
+        if map_class(prod) is not MapClass.HYPERBOLIC:
+            raise NonHyperbolicProductError(
+                f"product of side maps {k} and {j} is not hyperbolic"
+            )
+        products.append(prod)
+    return FuchsianGroupSpec("surface", tuple(products), base.curve, fixed_index=k)
+
+
+def group_outcome(fn, *args):
+    """fn's result, or the class and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, NonHyperbolicProductError) as exc:
+        return type(exc), str(exc)
+
+
+def test_generators_match_the_public_formulations_up_to_genus_60():
+    errors = set()
+    for g in range(1, 61):
+        for sign in (1, -1):
+            curve = HyperellipticCurve(g, sign)
+            base = boundary_generators(curve)
+            assert base == side_group(curve, public_side_map)
+            assert base == side_group(curve, reference_side_map)
+            assert verify_group(base) == verify_group(side_group(curve, reference_side_map))
+            for k in range(1, 2 * g + 2):
+                got = group_outcome(subgroup_generators, base, k)
+                public = group_outcome(
+                    product_group, base, k,
+                    lambda m1, m2: normalize(compose(m1, m2)), classify,
+                )
+                reference = group_outcome(
+                    product_group, base, k,
+                    lambda m1, m2: reference_normalize(reference_compose(m1, m2)),
+                    reference_classify,
+                )
+                assert got == public == reference
+                if isinstance(got, tuple):
+                    errors.add(got[0])
+                else:
+                    assert verify_group(got) == verify_group(reference)
+    # the sweep reaches the known breakdown from g = 44 on
+    assert errors == {NonRealTraceError}

@@ -2,17 +2,18 @@
 
 import cmath
 import copy
-import math
 import pickle
 import random
 
 import pytest
 
+from fuchsian import NumericalError
 from fuchsian.moebius import (
     _DET_REAL_SNAP,
     CLASS_BOUNDARY_TOL,
     IDENTITY,
     INFINITY,
+    DegenerateMapError,
     MapClass,
     MoebiusMap,
     NonRealTraceError,
@@ -41,12 +42,15 @@ def test_constructor_coerces_and_rejects_degenerate():
     assert all(type(x) is complex for x in (m.a, m.b, m.c, m.d))
     assert m.det == 2
     assert m.trace == 3
-    with pytest.raises(ValueError):
+    # a degenerate map given by the caller is bad input ...
+    with pytest.raises(ValueError) as given:
         MoebiusMap(1, 2, 2, 4)
-    # the internal constructor skips coercion but not the determinant check
-    with pytest.raises(ValueError):
+    assert type(given.value) is ValueError
+    # ... while the internal constructor, which skips coercion but not the
+    # determinant check, only sees entries computed by the package
+    with pytest.raises(DegenerateMapError):
         MoebiusMap._make(1 + 0j, 2 + 0j, 2 + 0j, 4 + 0j)
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateMapError):
         compose(MoebiusMap(1, 0, 0, 0.5**600), MoebiusMap(1, 0, 0, 0.5**600))
 
 
@@ -95,7 +99,12 @@ def reference_normalize(m: MoebiusMap) -> MoebiusMap:
     if abs(det.imag) <= _DET_REAL_SNAP * abs(det):
         det = complex(det.real, 0.0)
     s = cmath.sqrt(det)
-    return MoebiusMap(m.a / s, m.b / s, m.c / s, m.d / s)
+    try:
+        return MoebiusMap(m.a / s, m.b / s, m.c / s, m.d / s)
+    except ValueError as exc:
+        # computed entries with a zero determinant are a numerical
+        # breakdown, not bad input
+        raise DegenerateMapError(str(exc)) from None
 
 
 def reference_inverse(m: MoebiusMap) -> MoebiusMap:
@@ -189,7 +198,19 @@ def test_classify_matches_the_normalized_map_trace_exactly():
         got, want = outcome(classify, m), outcome(reference_classify, m)
         assert got == want
         seen.add(want if isinstance(want, MapClass) else want[0])
-    assert seen == set(MapClass) | {NonRealTraceError, ValueError}
+    assert seen == set(MapClass) | {NonRealTraceError, DegenerateMapError}
+
+
+def test_ill_conditioned_maps_are_a_numerical_breakdown():
+    # not degenerate (|det| of order 1 against entries ~1e8), but
+    # normalizing rounds the determinant to 0
+    assert issubclass(DegenerateMapError, NumericalError)
+    assert issubclass(DegenerateMapError, ValueError)
+    for m in ILL_CONDITIONED_MAPS:
+        assert 0.1 < abs(m.det) < 10
+        for fn in (normalize, classify):
+            with pytest.raises(DegenerateMapError, match="determinant is zero"):
+                fn(m)
 
 
 def test_compose_is_matrix_product_and_matches_pointwise_composition():
