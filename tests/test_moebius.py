@@ -134,8 +134,8 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-# Ill-conditioned maps (entries ~1e8, det ~1): normalizing rounds their
-# determinant to exactly 0, so building the normalized map raises.
+# Ill-conditioned maps (entries ~1e8, |det| of order 1): normalizing rounds
+# their determinant to exactly 0, so building the normalized map raises.
 ILL_CONDITIONED_MAPS = (
     MoebiusMap(
         -50914828.389608726, -30077051.477918237,
