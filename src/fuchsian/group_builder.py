@@ -16,12 +16,14 @@ that the public `geodesic_apex`, `side_pairing_elliptic`, `compose` and
 
 from __future__ import annotations
 
-# The group records stay dataclasses, unlike the NamedTuple records of
-# the other layers: callers derive variants with `dataclasses.replace`
-# (the benchmark's self-check bends one generator of a
-# `FuchsianGroupSpec` that way), and only the commands that build groups
-# (`generators`, `verify`) pay for importing `dataclasses`.
+# `FuchsianGroupSpec` stays a dataclass, unlike the NamedTuple records of
+# this and the other layers: callers derive variants of it with
+# `dataclasses.replace` (the benchmark's self-check bends one generator
+# that way), and only the commands that build groups (`generators`,
+# `verify`) pay for importing `dataclasses`. The verify records are
+# NamedTuples, built positionally once per generator.
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import NumericalError
 from .curves import HyperellipticCurve, roots
@@ -54,8 +56,7 @@ class FuchsianGroupSpec:
     fixed_index: int | None = None
 
 
-@dataclass(frozen=True)
-class VerifyEntry:
+class VerifyEntry(NamedTuple):
     label: str
     det_residual: float
     trace: complex
@@ -64,8 +65,7 @@ class VerifyEntry:
     passed: bool
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     entries: tuple[VerifyEntry, ...]
     passed: bool
 
@@ -127,9 +127,11 @@ def verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
 
     boundary kind: det 1 (1e-9), trace 0 (1e-8), elliptic, involution
     residual (max entrywise |T*T + I|) below 1e-8. surface kind: det 1
-    and hyperbolic.
+    and hyperbolic. The report and its entries are NamedTuples; the
+    report passes when every entry does.
     """
     entries = []
+    passed = True
     for idx, gen in enumerate(spec.generators, start=1):
         a, b, c, d = gen.a, gen.b, gen.c, gen.d
         det = a * d - b * c
@@ -161,14 +163,8 @@ def verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
             )
         else:
             ok = det_res <= DET_TOL and cls is MapClass.HYPERBOLIC
+        passed = passed and ok
         entries.append(
-            VerifyEntry(
-                label=f"{spec.kind}[{idx}]",
-                det_residual=det_res,
-                trace=trace,
-                map_class=cls_name,
-                involution_residual=inv_res,
-                passed=ok,
-            )
+            VerifyEntry(f"{spec.kind}[{idx}]", det_res, trace, cls_name, inv_res, ok)
         )
-    return VerifyReport(tuple(entries), all(e.passed for e in entries))
+    return VerifyReport(tuple(entries), passed)

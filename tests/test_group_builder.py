@@ -1,6 +1,7 @@
 """Tests for the boundary group, surface subgroup, and fundamental polygon."""
 
 import cmath
+import dataclasses
 import math
 
 import pytest
@@ -187,6 +188,25 @@ def test_verify_group_flags_a_bent_generator():
     assert not report.entries[0].passed
     assert all(e.passed for e in report.entries[1:])
     assert report.entries[0].label == "boundary[1]"
+
+
+def bend_surface(surface: FuchsianGroupSpec) -> FuchsianGroupSpec:
+    """The benchmark self-check's corruption: entry a of the first
+    product moved by 1e-2, the variant made with `dataclasses.replace`."""
+    first = surface.generators[0]
+    bent = MoebiusMap(first.a + 1e-2, first.b, first.c, first.d)
+    return dataclasses.replace(surface, generators=(bent,) + surface.generators[1:])
+
+
+def test_bent_surface_fails_on_its_first_entry_only():
+    surface = subgroup_generators(boundary_generators(HyperellipticCurve(3, -1)), 2)
+    bent = bend_surface(surface)
+    assert (bent.kind, bent.curve, bent.fixed_index) == ("surface", surface.curve, 2)
+    assert bent.generators[1:] == surface.generators[1:]
+    assert verify_group(surface).passed
+    report = verify_group(bent)
+    assert not report.passed
+    assert [e.label for e in report.entries if not e.passed] == ["surface[1]"]
 
 
 def test_verify_group_checks_hyperbolicity_of_products():

@@ -8,10 +8,12 @@ import pytest
 
 from fuchsian.curves import HyperellipticCurve
 from fuchsian.disk_geometry import GeodesicArc, HyperbolicPolygon
+from fuchsian.group_builder import VerifyEntry, VerifyReport
 from fuchsian.tessellation import CycleCount, GenusRange, TessellationSpec
 from fuchsian.whittaker import HdeParams
 
 ARC = GeodesicArc("arc", (1j, 1 + 0j), 1 + 1j, 1.0, None)
+ENTRY = VerifyEntry("surface[1]", 2e-16, 3.5 + 1e-17j, "hyperbolic", None, True)
 
 # (record type, keyword arguments, one field changed, expected repr)
 RECORDS = [
@@ -36,6 +38,16 @@ RECORDS = [
      "CycleCount(ratio=Fraction(2, 1), divisible=True)"),
     (HdeParams, {"alpha": 0.2, "beta": 0.4, "gamma": 0.8, "a": 0.2, "g": 2},
      {"g": 3}, "HdeParams(alpha=0.2, beta=0.4, gamma=0.8, a=0.2, g=2)"),
+    # repr strings as the frozen dataclasses printed them
+    (VerifyEntry, {"label": "boundary[2]", "det_residual": 0.0, "trace": 1e-16j,
+                   "map_class": "elliptic", "involution_residual": 4e-16,
+                   "passed": True}, {"passed": False},
+     "VerifyEntry(label='boundary[2]', det_residual=0.0, trace=1e-16j, "
+     "map_class='elliptic', involution_residual=4e-16, passed=True)"),
+    (VerifyReport, {"entries": (ENTRY,), "passed": True}, {"entries": ()},
+     "VerifyReport(entries=(VerifyEntry(label='surface[1]', det_residual=2e-16, "
+     "trace=(3.5+1e-17j), map_class='hyperbolic', involution_residual=None, "
+     "passed=True),), passed=True)"),
 ]
 
 
