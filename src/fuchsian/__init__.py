@@ -25,7 +25,7 @@ class NumericalError(Exception):
 
 # submodule -> the names the package re-exports from it
 _EXPORTS = {
-    "curves": ("HyperellipticCurve", "fde_coefficient", "genus_from_degree", "roots"),
+    "curves": ("HyperellipticCurve", "fde_coefficient", "roots"),
     "disk_geometry": (
         "GeodesicArc",
         "HyperbolicPolygon",
@@ -36,8 +36,6 @@ _EXPORTS = {
         "polygon_area",
         "polygon_from_vertices",
         "side_pairing_elliptic",
-        "triangle_area",
-        "vertex_cycle_angle_check",
     ),
     "group_builder": (
         "FuchsianGroupSpec",
@@ -56,10 +54,8 @@ _EXPORTS = {
         "apply",
         "classify",
         "compose",
-        "fixed_points",
         "inverse",
         "normalize",
-        "projectively_equal",
     ),
     "tessellation": (
         "CycleCount",

@@ -11,8 +11,8 @@ Subcommands:
 JSON goes to stdout or --json-out FILE, formatted deterministically
 (10 significant digits, lowercase exponents, "-0" written as "0", fixed
 key order), so repeated runs are byte-identical. Exit codes: 0 success,
-1 verification failure, 2 bad arguments, 3 algorithm precondition
-failure, 4 I/O failure.
+1 verification failure, 2 bad arguments, 3 numerical failure on valid
+input (`fuchsian.NumericalError`), 4 I/O failure.
 
 Each command loads and compiles only the code it runs. `genus` and
 `tessellation` load the tessellation layer; `whittaker` moebius and
@@ -75,12 +75,9 @@ def to_json(value, indent: int = 0) -> str:
         )
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
-            return "[]"
-        if all(isinstance(i, (int, float, str, bool)) or i is None for i in items):
-            return "[" + ", ".join(to_json(i) for i in items) + "]"
-        inner = ",\n".join(f"{pad}  {to_json(i, indent + 1)}" for i in items)
+        if all(isinstance(i, (int, float, str, bool)) or i is None for i in value):
+            return "[" + ", ".join(to_json(i) for i in value) + "]"
+        inner = ",\n".join(f"{pad}  {to_json(i, indent + 1)}" for i in value)
         return "[\n" + inner + "\n" + pad + "]"
     raise TypeError(f"unserializable value of type {type(value).__name__}")
 
@@ -201,7 +198,6 @@ def run_whittaker(g: int) -> dict:
         monodromy_zero,
         sine_product_residual,
         trig_identity_residuals,
-        whittaker_generator,
         whittaker_generator_raw,
         whittaker_subgroup,
     )
@@ -210,7 +206,7 @@ def run_whittaker(g: int) -> dict:
     generators = []
     for k in range(2 * g + 1):
         raw = whittaker_generator_raw(g, k)
-        norm = whittaker_generator(g, k)
+        norm = normalize(raw)
         generators.append(
             {
                 "k": k,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
+from . import NumericalError
 from .curves import HyperellipticCurve, roots
 from .moebius import MoebiusMap, Point, _normalized, is_infinite
 
@@ -20,6 +21,13 @@ COLLINEAR_TOL = 1e-9
 IDEAL_TOL = 1e-9
 ON_GEODESIC_TOL = 1e-6
 _THREE_POINTS = "side pairing needs three distinct points"
+
+
+class DegenerateGeodesicError(NumericalError, ValueError):
+    """The computed arc center lies inside the unit circle: a numerical
+    breakdown (cancellation in the center's 2x2 solve when the two
+    points nearly coincide), not bad input.
+    """
 
 
 class GeodesicArc(NamedTuple):
@@ -97,7 +105,13 @@ def geodesic_between(z1: complex, z2: complex) -> GeodesicArc:
     r1 = (abs(z1) ** 2 + 1.0) / 2.0
     r2 = (abs(z2) ** 2 + 1.0) / 2.0
     center = complex((r1 * y2 - r2 * y1) / det, (x1 * r2 - x2 * r1) / det)
-    radius = math.sqrt(abs(center) ** 2 - 1.0)
+    radius_sq = abs(center) ** 2 - 1.0
+    if radius_sq < 0:
+        raise DegenerateGeodesicError(
+            f"geodesic through {z1:.6g} and {z2:.6g}: computed center "
+            f"lies inside the unit circle (|C|^2 - 1 = {radius_sq:.3g})"
+        )
+    radius = math.sqrt(radius_sq)
     return GeodesicArc("arc", (z1, z2), center=center, radius=radius)
 
 

@@ -145,9 +145,7 @@ def verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
             cls_name = "unclassifiable"
         inv_res: float | None = None
         if spec.kind == "boundary":
-            # the entries of compose(gen, gen), without building that map
-            sq_a, sq_b = a * a + b * c, a * b + b * d
-            sq_c, sq_d = c * a + d * c, c * b + d * d
+            sq_a, sq_b, sq_c, sq_d = _product(gen, gen)
             if sq_a * sq_d - sq_b * sq_c == 0:
                 # compose's MoebiusMap._make rejected such a square
                 # (e.g. det ~1e-200 underflows to 0 when squared)

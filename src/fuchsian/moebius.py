@@ -33,7 +33,6 @@ from . import NumericalError
 # Tolerances for double-precision inputs assembled from closed forms.
 TRACE_IMAG_TOL = 1e-6
 CLASS_BOUNDARY_TOL = 1e-9
-DET_ONE_TOL = 1e-9
 # |Im det| below this fraction of |det| is rounding noise; snapping the
 # determinant to the real axis keeps the principal sqrt branch stable.
 _DET_REAL_SNAP = 1e-13
@@ -88,21 +87,18 @@ class MoebiusMap:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: complex, b: complex, c: complex, d: complex) -> None:
+        self.__post_init__(a, b, c, d)
+
+    def __post_init__(self, a: complex, b: complex, c: complex, d: complex) -> None:
+        # A method of its own: perfbench/tracing.py wraps it to time
+        # public constructions as `moebius.construct`.
+        a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+        if a * d - b * c == 0:
+            raise ValueError(_DEGENERATE)
         _set_a(self, a)
         _set_b(self, b)
         _set_c(self, c)
         _set_d(self, d)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        # A method of its own: perfbench/tracing.py wraps it to time
-        # public constructions as `moebius.construct`.
-        _set_a(self, complex(self.a))
-        _set_b(self, complex(self.b))
-        _set_c(self, complex(self.c))
-        _set_d(self, complex(self.d))
-        if self.det == 0:
-            raise ValueError(_DEGENERATE)
 
     @classmethod
     def _make(cls, a: complex, b: complex, c: complex, d: complex) -> MoebiusMap:

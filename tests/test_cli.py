@@ -10,6 +10,7 @@ import pytest
 
 from fuchsian import NumericalError, cli, whittaker
 from fuchsian.curves import HyperellipticCurve
+from fuchsian.disk_geometry import DegenerateGeodesicError, geodesic_between
 from fuchsian.group_builder import (
     FuchsianGroupSpec,
     NonHyperbolicProductError,
@@ -51,6 +52,11 @@ def test_json_serializer_is_valid_json_with_stable_layout():
     assert parsed["a_second"] == [1.25, 0, "x"]
     # insertion order is preserved, not sorted
     assert text.index("b_first") < text.index("a_second")
+    assert cli.to_json({"no": False, "empty": {}, "none": []}) == (
+        '{\n  "no": false,\n  "empty": {},\n  "none": []\n}'
+    )
+    with pytest.raises(TypeError, match="unserializable value of type set"):
+        cli.to_json({"bad": {1}})
 
 
 # --- payload shape and determinism ---------------------------------------
@@ -182,6 +188,9 @@ def test_fundamental_polygon_path_has_one_segment_per_side(tmp_path):
     assert d.count("A ") + d.count("L ") == 8  # ideal octagon for genus 2
     assert d.startswith("M ")
     assert d.endswith("Z")
+    # a diameter side is a straight segment to its end point
+    diameter = geodesic_between(-0.5, 0.5)
+    assert cli._side_segment(diameter, -0.5, 0.5) == "L 720 500"
 
 
 # --- verify ---------------------------------------------------------------
@@ -213,11 +222,20 @@ def test_verify_large_perturbation_breaks_traces_too(capsys):
 # --- exit codes ------------------------------------------------------------
 
 
-def test_exit_code_bad_arguments():
+def error_lines(capsys) -> list[str]:
+    """The stderr lines printed since the last read, each checked to be
+    one `error: <message>` line."""
+    lines = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("error: ") and line[7:] for line in lines), lines
+    return lines
+
+
+def test_exit_code_bad_arguments(capsys):
     assert cli.main(["generators", "--genus", "0", "--sign", "plus"]) == 2
     assert cli.main(["whittaker", "--genus", "1"]) == 2
     assert cli.main(["genus", "1", "5"]) == 2
     assert cli.main(["tessellation", "--degree", "7", "--genus", "2"]) == 2
+    assert len(error_lines(capsys)) == 4
 
 
 def test_argparse_errors_exit_two():
@@ -229,13 +247,14 @@ def test_argparse_errors_exit_two():
     assert result.returncode == 2
 
 
-def test_exit_code_algorithm_failure(monkeypatch):
+def test_exit_code_algorithm_failure(monkeypatch, capsys):
     # every numerical error is a NumericalError, which main maps to 3,
     # and keeps the base class that callers caught before
     for error, old_base in (
         (NonHyperbolicProductError, RuntimeError),
         (NonRealTraceError, ValueError),
         (DegenerateMapError, ValueError),
+        (DegenerateGeodesicError, ValueError),
         (whittaker.SeriesNotConvergedError, ValueError),
     ):
         assert issubclass(error, NumericalError)
@@ -246,23 +265,40 @@ def test_exit_code_algorithm_failure(monkeypatch):
 
         monkeypatch.setattr(cli, "run_generators", explode)
         assert cli.main(["generators", "--genus", "2", "--sign", "minus"]) == 3
+        assert error_lines(capsys) == ["error: forced"]
 
 
-def test_exit_code_numerical_breakdown(monkeypatch):
+def test_exit_code_numerical_breakdown(monkeypatch, capsys):
     # valid input whose surface-group product has a non-real normalized
     # trace: a numerical failure (3), not bad arguments (2)
     assert cli.main(["generators", "--genus", "44", "--sign", "plus"]) == 3
     # likewise a hypergeometric series that runs out of terms
     monkeypatch.setattr(whittaker, "SERIES_MAX_TERMS", 5)
     assert cli.main(["verify"]) == 3
+    assert len(error_lines(capsys)) == 2
 
 
-def test_exit_code_io_failure(tmp_path):
+@pytest.mark.parametrize(
+    "genus, sign, code", [(80, "plus", 0), (81, "plus", 3), (81, "minus", 0)]
+)
+def test_render_geometry_breakdown_exits_three(genus, sign, code, tmp_path, capsys):
+    # from g = 81 (sign +1) two reflected vertices of the fundamental
+    # polygon lie so close that the computed arc center falls inside the
+    # unit circle: a numerical failure on valid input, not bad arguments
+    out = tmp_path / "f.svg"
+    argv = ["render", "--genus", str(genus), "--sign", sign, "--out", str(out)]
+    assert cli.main(argv) == code
+    assert len(error_lines(capsys)) == (code != 0)
+    assert out.exists() == (code == 0)
+
+
+def test_exit_code_io_failure(tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "f.svg"
     assert cli.main(["render", "--genus", "2", "--sign", "minus",
                      "--out", str(missing_dir)]) == 4
     assert cli.main(["--json-out", str(tmp_path / "x" / "y.json"),
                      "genus", "4", "4"]) == 4
+    assert len(error_lines(capsys)) == 2
 
 
 def test_unexpected_error_propagates(monkeypatch):

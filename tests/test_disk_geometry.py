@@ -89,6 +89,8 @@ def test_diameter_detection_and_canonical_direction():
     assert abs(g2.direction - g.direction) < 1e-15
     g3 = geodesic_between(0.3j, -0.6j)
     assert abs(g3.direction - 1j) < 1e-15
+    assert point_on_geodesic(0.9j, g3) == 0.0
+    assert abs(point_on_geodesic(0.25 + 0.5j, g3) - 0.25) < 1e-15
 
 
 def test_arc_orthogonality_and_incidence():

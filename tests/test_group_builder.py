@@ -139,6 +139,11 @@ def test_non_hyperbolic_product_is_detected():
     rigged = FuchsianGroupSpec("boundary", (t1, t1), base.curve)
     with pytest.raises(NonHyperbolicProductError):
         subgroup_generators(rigged)
+    # a product whose determinant underflows cannot be normalized
+    tiny = MoebiusMap(1e-100, 0, 0, 1e-100)
+    rigged = FuchsianGroupSpec("boundary", (tiny, tiny), base.curve)
+    with pytest.raises(DegenerateMapError):
+        subgroup_generators(rigged)
 
 
 def test_fundamental_polygon_shape():

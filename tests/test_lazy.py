@@ -84,7 +84,7 @@ def test_each_command_compiles_the_cli_once_and_skips_dataclasses(argv, tmp_path
 
 
 def test_every_exported_name_is_its_defining_modules_object():
-    assert len(fuchsian.__all__) == len(set(fuchsian.__all__)) == 52
+    assert len(fuchsian.__all__) == len(set(fuchsian.__all__)) == 47
     for module_name, names in fuchsian._EXPORTS.items():
         module = importlib.import_module(f"fuchsian.{module_name}")
         for name in names:

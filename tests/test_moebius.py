@@ -296,6 +296,9 @@ def test_projective_equality_and_distance():
     assert projective_distance(m, scaled) < 1e-12
     other = MoebiusMap(1, 2, 3, 5)
     assert not projectively_equal(m, other)
+    # m * swap^-1 has a zero (0, 0) entry: no scalar to rescale by
+    swap = MoebiusMap(0, 1, 1, 0)
+    assert projective_distance(swap, IDENTITY) == float("inf")
 
 
 def test_fixed_points_of_affine_and_rotation():

@@ -1,14 +1,20 @@
 """Every package and test module parses as Python 3.10, the oldest
 version pyproject.toml's requires-python admits, and reads every name
-it imports."""
+it imports; every exported name and every module constant of the
+package has a reader."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
+import fuchsian
+
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(ROOT.glob("src/fuchsian/*.py")) + sorted(ROOT.glob("tests/*.py"))
+PACKAGE = sorted(ROOT.glob("src/fuchsian/*.py"))
+SOURCES = PACKAGE + sorted(ROOT.glob("tests/*.py"))
+BENCHMARK = sorted(ROOT.glob("perfbench/*.py"))
 
 
 def test_sources_are_found():
@@ -57,3 +63,64 @@ def test_unused_import_scan_flags_an_unread_name():
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     assert unused_imports(tree) == []
+
+
+def parse(paths) -> list[ast.Module]:
+    return [ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in paths]
+
+
+def unread_names(names, trees: list[ast.Module]) -> list[str]:
+    """The names that no tree reads, as a load of an ast.Name or of an
+    attribute; a bare import, an assignment or a string does not count.
+    """
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(getattr(node, "ctx", None), ast.Store):
+                continue
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(set(names) - read)
+
+
+def module_constants(tree: ast.Module) -> list[str]:
+    """UPPER_CASE names (a leading underscore allowed) assigned at module level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        names += [
+            name.id
+            for target in targets
+            for name in ast.walk(target)
+            if isinstance(name, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name.id)
+        ]
+    return sorted(names)
+
+
+def test_unread_name_scan_flags_exports_and_constants():
+    reader = ast.parse("import m, hidden\nm.used(shown)\nm.stored = 1\nx = 'quoted'\n")
+    names = ["used", "shown", "stored", "hidden", "quoted"]
+    assert unread_names(names, [reader]) == ["hidden", "quoted", "stored"]
+    module = ast.parse(
+        "LIMIT = 1\nA, _B = 2, 3\nT: int = 4\nlow = 5\ndef f():\n    INNER = 6\n"
+    )
+    assert module_constants(module) == ["A", "LIMIT", "T", "_B"]
+
+
+def test_every_export_is_read_by_the_package_or_the_benchmark():
+    readers = [p for p in PACKAGE if p.name != "__init__.py"] + BENCHMARK
+    assert unread_names(fuchsian.__all__, parse(readers)) == []
+
+
+def test_every_module_constant_is_read():
+    constants = [name for tree in parse(PACKAGE) for name in module_constants(tree)]
+    assert constants
+    readers = sorted(ROOT.glob("src/**/*.py")) + BENCHMARK + sorted(ROOT.glob("tests/*.py"))
+    assert unread_names(constants, parse(readers)) == []
