@@ -281,7 +281,9 @@ def test_exit_code_numerical_breakdown(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "genus, sign, code", [(80, "plus", 0), (81, "plus", 3), (81, "minus", 0)]
 )
-def test_render_geometry_breakdown_exits_three(genus, sign, code, tmp_path, capsys):
+def test_render_exit_code_at_the_geometry_breakdown_onset(
+    genus, sign, code, tmp_path, capsys
+):
     # from g = 81 (sign +1) two reflected vertices of the fundamental
     # polygon lie so close that the computed arc center falls inside the
     # unit circle: a numerical failure on valid input, not bad arguments
