@@ -38,8 +38,8 @@ from .tessellation import cycle_count, euler_characteristic, tessellation_for_de
 from .whittaker import (
     connection_map,
     connection_map_from_gammas,
+    continuation_constants,
     continuation_residual,
-    gamma_fn,
     hde_params,
     hyp2f1,
     monodromy_zero,
@@ -272,8 +272,7 @@ def run_checks(perturb: float = 0.0) -> tuple[bool, str]:
             product *= (c - b + i) / (c + i)
         gauss_res = max(gauss_res, abs(hyp2f1(-n_term, b, c, 1) - product))
     c0 = ga - al - be
-    coeff_a = gamma_fn(ga) * gamma_fn(c0) / (gamma_fn(ga - al) * gamma_fn(ga - be))
-    coeff_b = gamma_fn(ga) * gamma_fn(-c0) / (gamma_fn(al) * gamma_fn(be))
+    coeff_a, coeff_b = continuation_constants(al, be, ga)
     limit = coeff_a * hyp2f1(al, be, al + be - ga + 1, 1) + coeff_b * hyp2f1(
         ga - al, ga - be, c0 + 1, 1
     )

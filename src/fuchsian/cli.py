@@ -54,18 +54,10 @@ def _fmt_float(x: float) -> str:
 def to_json(value, indent: int = 0) -> str:
     """Serialize nested dict/list/scalar data with stable formatting."""
     pad = "  " * indent
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return str(value)
+    if value is None or isinstance(value, (int, str)):  # bool is an int
+        return json.dumps(value)
     if isinstance(value, float):
         return _fmt_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -141,12 +133,14 @@ def run_genus(m: int, n: int) -> dict:
 
 def run_generators(g: int, sign: int, k: int = 1) -> dict:
     from .curves import HyperellipticCurve, roots
-    from .group_builder import _boundary_group, subgroup_generators, verify_group
+    from .disk_geometry import geodesic_apex
+    from .group_builder import boundary_generators, subgroup_generators, verify_group
 
     curve = HyperellipticCurve(g, sign)
     rs = roots(curve)
     n = len(rs)
-    mids, base = _boundary_group(curve)
+    base = boundary_generators(curve)
+    mids = [geodesic_apex(z, rs[(j + 1) % n]) for j, z in enumerate(rs)]
     sub = subgroup_generators(base, k)
     rep_base = verify_group(base)
     rep_sub = verify_group(sub)
@@ -317,11 +311,11 @@ def render_svg(curve: HyperellipticCurve) -> str:
     polygon, labeled roots (r1..rn) and side apexes (m1..mn).
     """
     from .curves import roots
-    from .disk_geometry import _arc_apex, fundamental_polygon, polygon_from_vertices
+    from .disk_geometry import fundamental_polygon, geodesic_apex, polygon_from_vertices
 
     rs = roots(curve)
     root_poly = polygon_from_vertices(rs)
-    mids = [_arc_apex(side) for side in root_poly.sides]
+    mids = [geodesic_apex(*side.endpoints) for side in root_poly.sides]
     fund = fundamental_polygon(curve)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -77,22 +77,13 @@ def boundary_generators(curve: HyperellipticCurve) -> FuchsianGroupSpec:
     for roots z1 = r_j and z2 = r_(j+1), computed from one geodesic and
     built as one map.
     """
-    return _boundary_group(curve)[1]
-
-
-def _boundary_group(
-    curve: HyperellipticCurve,
-) -> tuple[list[complex], FuchsianGroupSpec]:
-    """The side apexes and the boundary group, one geodesic per side."""
     rs = roots(curve)
     n = len(rs)
-    apexes, gens = [], []
+    gens = []
     for j in range(n):
         side = geodesic_between(rs[j], rs[(j + 1) % n])
-        apex = _arc_apex(side)
-        apexes.append(apex)
-        gens.append(_side_involution(side, apex))
-    return apexes, FuchsianGroupSpec("boundary", tuple(gens), curve)
+        gens.append(_side_involution(side, _arc_apex(side)))
+    return FuchsianGroupSpec("boundary", tuple(gens), curve)
 
 
 def subgroup_generators(base: FuchsianGroupSpec, k: int = 1) -> FuchsianGroupSpec:

@@ -132,6 +132,22 @@ def hde_params(g: int) -> HdeParams:
     return HdeParams((g - 1) * a, g * a, 2 * g * a, a, g)
 
 
+def continuation_constants(
+    alpha: float, beta: float, gamma: float
+) -> tuple[float, float]:
+    """The classical Gamma-ratio constants of the continuation to z = 1:
+    A = Gamma(gamma) Gamma(c) / (Gamma(gamma-alpha) Gamma(gamma-beta)),
+    B = Gamma(gamma) Gamma(-c) / (Gamma(alpha) Gamma(beta)),
+    with c = gamma - alpha - beta.
+    """
+    c = gamma - alpha - beta
+    coeff_a = gamma_fn(gamma) * gamma_fn(c) / (
+        gamma_fn(gamma - alpha) * gamma_fn(gamma - beta)
+    )
+    coeff_b = gamma_fn(gamma) * gamma_fn(-c) / (gamma_fn(alpha) * gamma_fn(beta))
+    return coeff_a, coeff_b
+
+
 def continuation_residual(
     alpha: float, beta: float, gamma: float, z: complex
 ) -> float:
@@ -139,9 +155,9 @@ def continuation_residual(
 
     The continuation is A F(alpha, beta; alpha+beta-gamma+1; 1-z) +
     B (1-z)^(gamma-alpha-beta) F(gamma-alpha, gamma-beta;
-    gamma-alpha-beta+1; 1-z) with the classical Gamma-ratio constants A
-    and B. Needs gamma - alpha - beta non-integer and both series in
-    range (|z| < 1 and |1 - z| < 1).
+    gamma-alpha-beta+1; 1-z) with A, B from continuation_constants.
+    Needs gamma - alpha - beta non-integer and both series in range
+    (|z| < 1 and |1 - z| < 1).
     """
     c = gamma - alpha - beta
     if c == int(c):
@@ -149,10 +165,7 @@ def continuation_residual(
     z = complex(z)
     if abs(z) >= 1 or abs(1 - z) >= 1:
         raise ValueError("z must satisfy |z| < 1 and |1 - z| < 1")
-    coeff_a = gamma_fn(gamma) * gamma_fn(c) / (
-        gamma_fn(gamma - alpha) * gamma_fn(gamma - beta)
-    )
-    coeff_b = gamma_fn(gamma) * gamma_fn(-c) / (gamma_fn(alpha) * gamma_fn(beta))
+    coeff_a, coeff_b = continuation_constants(alpha, beta, gamma)
     rhs = coeff_a * hyp2f1(alpha, beta, alpha + beta - gamma + 1, 1 - z)
     rhs += (
         coeff_b
@@ -167,9 +180,7 @@ def connection_map(g: int) -> MoebiusMap:
     [2 cos(a pi) e^(-(g+1) a pi i), -i (cos a pi + cos 2a pi)/sin a pi;
      2 i sin a pi,                   2 cos(a pi) e^((g+1) a pi i)].
     """
-    if g < 2:
-        raise ValueError("genus must be at least 2")
-    a = 1.0 / (2 * g + 1)
+    a = hde_params(g).a
     ca = math.cos(a * math.pi)
     c2a = math.cos(2 * a * math.pi)
     sa = math.sin(a * math.pi)
@@ -195,21 +206,15 @@ def connection_map_from_gammas(g: int) -> MoebiusMap:
     followed by the rescaling of the source quotient by G4 (conjugation
     with diag(G4, 1)). Projectively equal to connection_map(g).
     """
-    if g < 2:
-        raise ValueError("genus must be at least 2")
-    a = 1.0 / (2 * g + 1)
-    g1 = gamma_fn(2 * (g + 1) * a) * gamma_fn(a) / (
-        gamma_fn((g + 2) * a) * gamma_fn((g + 1) * a)
-    )
-    g2 = gamma_fn(2 * (g + 1) * a) * gamma_fn(-a) / (
-        gamma_fn((g + 1) * a) * gamma_fn(g * a)
-    )
-    g3 = gamma_fn(2 * g * a) * gamma_fn(a) / (
-        gamma_fn((g + 1) * a) * gamma_fn(g * a)
-    )
-    g4 = gamma_fn(2 * g * a) * gamma_fn(-a) / (
-        gamma_fn(g * a) * gamma_fn((g - 1) * a)
-    )
+    a = hde_params(g).a
+    gam_2g1, gam_2g = gamma_fn(2 * (g + 1) * a), gamma_fn(2 * g * a)
+    gam_g2, gam_g1 = gamma_fn((g + 2) * a), gamma_fn((g + 1) * a)
+    gam_g, gam_gm1 = gamma_fn(g * a), gamma_fn((g - 1) * a)
+    gam_a, gam_ma = gamma_fn(a), gamma_fn(-a)
+    g1 = gam_2g1 * gam_a / (gam_g2 * gam_g1)
+    g2 = gam_2g1 * gam_ma / (gam_g1 * gam_g)
+    g3 = gam_2g * gam_a / (gam_g1 * gam_g)
+    g4 = gam_2g * gam_ma / (gam_g * gam_gm1)
     phase = cmath.exp(2j * a * math.pi)
     two_i_sin = 2j * math.sin(a * math.pi)
     x1 = g2 * g3 / phase - g1 * g4
@@ -221,10 +226,7 @@ def connection_map_from_gammas(g: int) -> MoebiusMap:
 
 def monodromy_zero(g: int) -> MoebiusMap:
     """Loop around z = 0: the quotient is scaled by e^(2 pi i a)."""
-    if g < 2:
-        raise ValueError("genus must be at least 2")
-    a = 1.0 / (2 * g + 1)
-    return MoebiusMap(cmath.exp(2j * math.pi * a), 0, 0, 1)
+    return MoebiusMap(cmath.exp(2j * math.pi * hde_params(g).a), 0, 0, 1)
 
 
 def trig_identity_residuals(g: int) -> tuple[float, float]:
@@ -259,11 +261,9 @@ def whittaker_generator_raw(g: int, k: int) -> MoebiusMap:
      e^(-(4k+1) a pi i / 2), -(2 cos a pi - 1)^(-1/2)].
     Determinant is (2 cos a pi - 2)/(2 cos a pi - 1), not 1.
     """
-    if g < 2:
-        raise ValueError("genus must be at least 2")
+    a = hde_params(g).a
     if not 0 <= k <= 2 * g:
         raise ValueError(f"generator index {k} outside 0..{2 * g}")
-    a = 1.0 / (2 * g + 1)
     r = (2.0 * math.cos(a * math.pi) - 1.0) ** -0.5
     phase = cmath.exp(1j * (4 * k + 1) * a * math.pi / 2.0)
     return MoebiusMap(r, -phase, phase.conjugate(), -r)

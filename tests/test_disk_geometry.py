@@ -226,13 +226,6 @@ def test_ideal_polygon_area_is_exact():
 
 
 def test_interior_angles_match_finite_difference_tangents():
-    # shrunk regular pentagon: finite vertices, equal angles by symmetry
-    verts = [0.8 * cmath.exp(2j * math.pi * k / 5) for k in range(5)]
-    poly = polygon_from_vertices(verts)
-    assert not any(poly.ideal)
-    angles = interior_angles(poly)
-    assert max(angles) - min(angles) < 1e-9
-
     def walk(side: GeodesicArc, v: complex, eps: float) -> complex:
         e1, e2 = side.endpoints
         other = e2 if abs(v - e1) < abs(v - e2) else e1
@@ -244,18 +237,37 @@ def test_interior_angles_match_finite_difference_tangents():
         step = math.copysign(eps / side.radius, da)
         return side.center + side.radius * cmath.exp(1j * (a0 + step))
 
-    eps = 1e-6
-    for i, v in enumerate(poly.vertices):
-        p_prev = walk(poly.sides[(i - 1) % 5], v, eps)
-        p_next = walk(poly.sides[i], v, eps)
-        u1 = (p_prev - v) / abs(p_prev - v)
-        u2 = (p_next - v) / abs(p_next - v)
-        measured = math.acos(max(-1.0, min(1.0, (u1.conjugate() * u2).real)))
-        assert abs(measured - angles[i]) < 1e-4
+    def angles_and_area(poly):
+        """Interior angles checked against finite-difference tangents,
+        and the Gauss-Bonnet area checked against them."""
+        angles = interior_angles(poly)
+        n = len(poly.vertices)
+        eps = 1e-6
+        for i, v in enumerate(poly.vertices):
+            p_prev = walk(poly.sides[(i - 1) % n], v, eps)
+            p_next = walk(poly.sides[i], v, eps)
+            u1 = (p_prev - v) / abs(p_prev - v)
+            u2 = (p_next - v) / abs(p_next - v)
+            measured = math.acos(max(-1.0, min(1.0, (u1.conjugate() * u2).real)))
+            assert abs(measured - angles[i]) < 1e-4
+        area = polygon_area(poly)
+        assert abs(area - ((n - 2) * math.pi - sum(angles))) < 1e-12
+        return angles, area
 
-    area = polygon_area(poly)
+    # shrunk regular pentagon: finite vertices, equal angles by symmetry
+    verts = [0.8 * cmath.exp(2j * math.pi * k / 5) for k in range(5)]
+    poly = polygon_from_vertices(verts)
+    assert not any(poly.ideal)
+    angles, area = angles_and_area(poly)
+    assert max(angles) - min(angles) < 1e-9
     assert 0 < area < 3 * math.pi
-    assert abs(area - (3 * math.pi - sum(angles))) < 1e-12
+
+    # a vertex at the origin: both sides through it are diameters
+    poly = polygon_from_vertices([0, 0.6, 0.6j])
+    assert [side.kind for side in poly.sides] == ["diameter", "arc", "diameter"]
+    angles, area = angles_and_area(poly)
+    assert abs(angles[0] - math.pi / 2) < 1e-12
+    assert 0 < area < math.pi
 
 
 def test_interior_angles_approach_the_euclidean_limit_near_zero():

@@ -17,8 +17,14 @@ GOLDEN_STDOUT = {
         "2304d9e5722e46e5c9627a10d9326c6e075f211d4fd99d22946ba82aa7591684", 0),
     ("generators", "--genus", "30", "--sign", "plus", "--fixed", "7"): (
         "ebf5ea29a00540f4cd1a091b0b94669c1b35fc76edfaafc57cbe4fee9098b351", 0),
+    ("generators", "--genus", "41", "--sign", "minus", "--fixed", "83"): (
+        "13754d4f46fe0f12e5fe48b4f1a39ffe81e43a413a16910629866009a310bfec", 0),
+    ("whittaker", "--genus", "2"): (
+        "9120542141ce4654f174991c87e64914ea429e11de5dbb9790809c095a4268b2", 0),
     ("whittaker", "--genus", "40"): (
         "23b729a586bf9c09b197ac469bf0f7b6ed0c94c1935a9049f20687ba76e855b8", 0),
+    ("whittaker", "--genus", "80"): (
+        "deb1bbed091af9f2d24349e937102db292fad119ccfbae5fd479ca975c9cd1a2", 0),
     ("verify",): (
         "61bb08587e19afc190a8d1a266cc47c307d9e404437a8bd182d8515c772c9ec6", 0),
     ("verify", "--perturb", "1e-2"): (

@@ -232,6 +232,7 @@ def test_apply_handles_infinity():
     assert is_infinite(apply(m, -1))
     affine = MoebiusMap(3, 1, 0, 1)
     assert is_infinite(apply(affine, INFINITY))
+    assert repr(INFINITY) == "INFINITY"
 
 
 def test_normalize_gives_unit_determinant():

@@ -114,6 +114,34 @@ def test_unread_name_scan_flags_exports_and_constants():
     assert module_constants(module) == ["A", "LIMIT", "T", "_B"]
 
 
+def private_layer_imports(tree: ast.Module) -> list[str]:
+    """Underscore names imported from a module of the package, by a
+    relative import or one from `fuchsian`."""
+    return sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").partition(".")[0] == "fuchsian")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_private_import_scan_flags_underscore_names_from_the_package():
+    tree = ast.parse(
+        "from __future__ import annotations\nfrom os import _exit\n"
+        "from . import NumericalError\nfrom .moebius import _make, compose\n"
+        "def f():\n    from fuchsian.curves import _ROOTS, roots\n"
+    )
+    assert private_layer_imports(tree) == ["_ROOTS", "_make"]
+
+
+@pytest.mark.parametrize("name", ["cli.py", "checks.py"])
+def test_front_ends_import_only_public_layer_names(name):
+    path = ROOT / "src" / "fuchsian" / name
+    assert private_layer_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
 def test_every_export_is_read_by_the_package_or_the_benchmark():
     readers = [p for p in PACKAGE if p.name != "__init__.py"] + BENCHMARK
     assert unread_names(fuchsian.__all__, parse(readers)) == []

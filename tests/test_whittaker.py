@@ -199,11 +199,26 @@ def test_connection_map_two_constructions_agree_projectively():
         assert d < 1e-8
 
 
+def test_connection_map_from_gammas_evaluates_each_gamma_once(monkeypatch):
+    # 8 distinct arguments: 2(g+1)a, 2ga, (g+2)a, (g+1)a, ga, (g-1)a, a, -a
+    args = []
+
+    def counting(x):
+        args.append(x)
+        return gamma_fn(x)
+
+    monkeypatch.setattr(whittaker, "gamma_fn", counting)
+    connection_map_from_gammas(5)
+    assert len(args) == len(set(args)) == 8
+
+
 def test_connection_map_rejects_small_genus():
     with pytest.raises(ValueError):
         connection_map(1)
     with pytest.raises(ValueError):
         connection_map_from_gammas(1)
+    with pytest.raises(ValueError):
+        monodromy_zero(1)
 
 
 def test_monodromy_is_a_root_of_unity_action():
