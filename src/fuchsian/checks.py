@@ -39,7 +39,7 @@ from .whittaker import (
     connection_map,
     connection_map_from_gammas,
     continuation_constants,
-    continuation_residual,
+    continuation_residuals,
     hde_params,
     hyp2f1,
     monodromy_zero,
@@ -279,9 +279,9 @@ def run_checks(perturb: float = 0.0) -> tuple[bool, str]:
     gauss_res = max(gauss_res, abs(limit - 1.0))
     add("gauss_summation", gauss_res <= 1e-10, f"max residual={gauss_res:.3e}")
     cont_res = 0.0
-    for _ in range(20):
-        z = rng.uniform(0.1, 0.9)
-        cont_res = max(cont_res, continuation_residual(al, be, ga, z))
+    zs = [rng.uniform(0.1, 0.9) for _ in range(20)]
+    for residual in continuation_residuals(al, be, ga, zs):
+        cont_res = max(cont_res, residual)
     add(
         "analytic_continuation",
         cont_res <= 1e-10,

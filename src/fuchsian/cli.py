@@ -10,7 +10,9 @@ Subcommands:
 
 JSON goes to stdout or --json-out FILE, formatted deterministically
 (10 significant digits, lowercase exponents, "-0" written as "0", fixed
-key order), so repeated runs are byte-identical. Exit codes: 0 success,
+key order), so repeated runs are byte-identical. `to_json` writes it in
+one pass without the `json` module, escaping strings exactly as
+`json.dumps` does, so no command imports `json`. Exit codes: 0 success,
 1 verification failure, 2 bad arguments, 3 numerical failure on valid
 input (`fuchsian.NumericalError`), 4 I/O failure.
 
@@ -26,7 +28,6 @@ JSON lists, so the payloads copy the fields they report into dicts.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import NumericalError
@@ -51,26 +52,100 @@ def _fmt_float(x: float) -> str:
     return f"{x:.10g}"
 
 
-def to_json(value, indent: int = 0) -> str:
-    """Serialize nested dict/list/scalar data with stable formatting."""
-    pad = "  " * indent
-    if value is None or isinstance(value, (int, str)):  # bool is an int
-        return json.dumps(value)
+# json.dumps(s) with its default ensure_ascii=True: these seven characters
+# get a short escape, and every other one outside printable ASCII a \uXXXX
+# escape (a surrogate pair above U+FFFF)
+_SHORT_ESCAPES = {
+    '"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+    "\b": "\\b", "\f": "\\f",
+}
+
+
+def _json_string(s: str) -> str:
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    out = ['"']
+    for ch in s:
+        if ch in _SHORT_ESCAPES:
+            out.append(_SHORT_ESCAPES[ch])
+        elif " " <= ch <= "~":
+            out.append(ch)
+        else:
+            n = ord(ch)
+            if n > 0xFFFF:
+                n -= 0x10000
+                out.append(f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}")
+            else:
+                out.append(f"\\u{n:04x}")
+    out.append('"')
+    return "".join(out)
+
+
+def _scalar(value) -> str | None:
+    """The JSON token of a scalar, or None for a container or other type."""
     if isinstance(value, float):
         return _fmt_float(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _json_string(value)
+    return None
+
+
+def to_json(value, indent: int = 0) -> str:
+    """Serialize nested dict/list/scalar data with stable formatting.
+
+    Dicts and lists holding a container go one item per line, indented
+    two spaces per level; a list of scalars stays on one line.
+    """
+    out: list[str] = []
+    _write(value, "  " * indent, out)
+    return "".join(out)
+
+
+def _write(value, pad: str, out: list[str]) -> None:
+    token = _scalar(value)
+    if token is not None:
+        out.append(token)
+        return
     if isinstance(value, dict):
         if not value:
-            return "{}"
-        inner = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {to_json(v, indent + 1)}'
-            for k, v in value.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for k, v in value.items():
+            out.append(sep)
+            out.append(_json_string(str(k)))
+            out.append(": ")
+            _write(v, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+        return
     if isinstance(value, (list, tuple)):
-        if all(isinstance(i, (int, float, str, bool)) or i is None for i in value):
-            return "[" + ", ".join(to_json(i) for i in value) + "]"
-        inner = ",\n".join(f"{pad}  {to_json(i, indent + 1)}" for i in value)
-        return "[\n" + inner + "\n" + pad + "]"
+        tokens = []
+        for item in value:
+            token = _scalar(item)
+            if token is None:
+                break
+            tokens.append(token)
+        else:
+            out.append("[" + ", ".join(tokens) + "]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+        return
     raise TypeError(f"unserializable value of type {type(value).__name__}")
 
 
@@ -198,9 +273,11 @@ def run_whittaker(g: int) -> dict:
 
     params = hde_params(g)
     generators = []
+    normalized = []
     for k in range(2 * g + 1):
         raw = whittaker_generator_raw(g, k)
         norm = normalize(raw)
+        normalized.append(norm)
         generators.append(
             {
                 "k": k,
@@ -217,7 +294,7 @@ def run_whittaker(g: int) -> dict:
             "abs_trace": abs(prod.trace),
             "class": classify(prod).value,
         }
-        for j, prod in enumerate(whittaker_subgroup(g))
+        for j, prod in enumerate(whittaker_subgroup(g, normalized))
     ]
     closed = connection_map(g)
     built = connection_map_from_gammas(g)

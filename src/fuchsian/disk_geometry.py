@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 from . import NumericalError
 from .curves import HyperellipticCurve, roots
-from .moebius import MoebiusMap, Point, _normalized, is_infinite
+from .moebius import INFINITY, MoebiusMap, Point, _normalized
 
 COLLINEAR_TOL = 1e-9
 IDEAL_TOL = 1e-9
@@ -59,23 +59,26 @@ def cross_ratio(z1: Point, z2: Point, z3: Point, z4: Point) -> complex:
     At most one argument may be INFINITY; the two factors containing it
     are replaced by their limit ratio -1.
     """
-    pts = [z1, z2, z3, z4]
-    infinite = [is_infinite(p) for p in pts]
-    if sum(infinite) > 1:
-        raise ValueError("coincident points in cross-ratio")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if not infinite[i] and not infinite[j] and pts[i] == pts[j]:
-                raise ValueError("coincident points in cross-ratio")
-    if infinite[0]:
-        num, den = -(z3 - z4), (z2 - z3)
-    elif infinite[1]:
-        num, den = -(z3 - z4), (z4 - z1)
-    elif infinite[2]:
-        num, den = -(z1 - z2), (z4 - z1)
-    elif infinite[3]:
-        num, den = -(z1 - z2), (z2 - z3)
+    if z1 is INFINITY or z2 is INFINITY or z3 is INFINITY or z4 is INFINITY:
+        finite = [p for p in (z1, z2, z3, z4) if p is not INFINITY]
+        if (
+            len(finite) < 3
+            or finite[0] == finite[1]
+            or finite[0] == finite[2]
+            or finite[1] == finite[2]
+        ):
+            raise ValueError("coincident points in cross-ratio")
+        if z1 is INFINITY:
+            num, den = -(z3 - z4), (z2 - z3)
+        elif z2 is INFINITY:
+            num, den = -(z3 - z4), (z4 - z1)
+        elif z3 is INFINITY:
+            num, den = -(z1 - z2), (z4 - z1)
+        else:
+            num, den = -(z1 - z2), (z2 - z3)
     else:
+        if z1 == z2 or z1 == z3 or z1 == z4 or z2 == z3 or z2 == z4 or z3 == z4:
+            raise ValueError("coincident points in cross-ratio")
         num = (z1 - z2) * (z3 - z4)
         den = (z2 - z3) * (z4 - z1)
     if den == 0:

@@ -175,14 +175,14 @@ def _product(
 
 def apply(m: MoebiusMap, z: Point) -> Point:
     """Evaluate (az + b)/(cz + d) on a finite point or INFINITY."""
-    if is_infinite(z):
-        if m.c == 0:
+    if z is not INFINITY:
+        denom = m.c * z + m.d
+        if denom == 0:
             return INFINITY
-        return m.a / m.c
-    denom = m.c * z + m.d
-    if denom == 0:
+        return (m.a * z + m.b) / denom
+    if m.c == 0:
         return INFINITY
-    return (m.a * z + m.b) / denom
+    return m.a / m.c
 
 
 def normalize(m: MoebiusMap) -> MoebiusMap:

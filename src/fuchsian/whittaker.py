@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from . import NumericalError
 from .moebius import MoebiusMap, compose, normalize
@@ -159,20 +159,34 @@ def continuation_residual(
     Needs gamma - alpha - beta non-integer and both series in range
     (|z| < 1 and |1 - z| < 1).
     """
+    return continuation_residuals(alpha, beta, gamma, (z,))[0]
+
+
+def continuation_residuals(
+    alpha: float, beta: float, gamma: float, zs: Iterable[complex]
+) -> list[float]:
+    """continuation_residual at each point of zs, for one parameter
+    triple: A and B are computed once. Every point is checked before
+    any Gamma value is evaluated.
+    """
     c = gamma - alpha - beta
     if c == int(c):
         raise ValueError("continuation degenerates for integer gamma-alpha-beta")
-    z = complex(z)
-    if abs(z) >= 1 or abs(1 - z) >= 1:
-        raise ValueError("z must satisfy |z| < 1 and |1 - z| < 1")
+    zs = [complex(z) for z in zs]
+    for z in zs:
+        if abs(z) >= 1 or abs(1 - z) >= 1:
+            raise ValueError("z must satisfy |z| < 1 and |1 - z| < 1")
     coeff_a, coeff_b = continuation_constants(alpha, beta, gamma)
-    rhs = coeff_a * hyp2f1(alpha, beta, alpha + beta - gamma + 1, 1 - z)
-    rhs += (
-        coeff_b
-        * (1 - z) ** c
-        * hyp2f1(gamma - alpha, gamma - beta, c + 1, 1 - z)
-    )
-    return abs(hyp2f1(alpha, beta, gamma, z) - rhs)
+    out = []
+    for z in zs:
+        rhs = coeff_a * hyp2f1(alpha, beta, alpha + beta - gamma + 1, 1 - z)
+        rhs += (
+            coeff_b
+            * (1 - z) ** c
+            * hyp2f1(gamma - alpha, gamma - beta, c + 1, 1 - z)
+        )
+        out.append(abs(hyp2f1(alpha, beta, gamma, z) - rhs))
+    return out
 
 
 def connection_map(g: int) -> MoebiusMap:
@@ -274,13 +288,17 @@ def whittaker_generator(g: int, k: int) -> MoebiusMap:
     return normalize(whittaker_generator_raw(g, k))
 
 
-def whittaker_subgroup(g: int) -> list[MoebiusMap]:
+def whittaker_subgroup(
+    g: int, generators: Sequence[MoebiusMap] | None = None
+) -> list[MoebiusMap]:
     """The 2g normalized products of generator k (k = 1..2g, 0-based,
     on the left) with generator 0, generating the genus-g surface
     group; every product is hyperbolic.
+
+    `generators` are the 2g+1 maps whittaker_generator(g, k), k = 0..2g,
+    for a caller that holds them already; by default they are built here.
     """
-    first = whittaker_generator(g, 0)
-    return [
-        normalize(compose(whittaker_generator(g, k), first))
-        for k in range(1, 2 * g + 1)
-    ]
+    if generators is None:
+        generators = [whittaker_generator(g, k) for k in range(2 * g + 1)]
+    first = generators[0]
+    return [normalize(compose(gen, first)) for gen in generators[1:]]

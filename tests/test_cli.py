@@ -1,6 +1,7 @@
 """Tests for the command-line interface: JSON determinism, payload
 shape, the SVG renderer, the verify suite, and exit codes."""
 
+import enum
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import json_reference
 from fuchsian import NumericalError, cli, whittaker
 from fuchsian.curves import HyperellipticCurve
 from fuchsian.disk_geometry import DegenerateGeodesicError, geodesic_between
@@ -59,6 +61,35 @@ def test_json_serializer_is_valid_json_with_stable_layout():
         cli.to_json({"bad": {1}})
 
 
+# every character class json.dumps escapes differently, and plain text
+JSON_STRINGS = [
+    "", "plain text", '"', "\\", 'a"b\\c', "\x00\x01\x1f", "\b\f\n\r\t",
+    "\x7f", " ~", "caf\u00e9", "\u2028", "\U0001f600", "\ud800",
+    'mixed "\u00e9" \\ \U0001f600\x7f\n',
+]
+JSON_EDGE_VALUES = [
+    {}, [], (), [[]], [{}], [[1, [2.5, None]], []], {"a": {"b": []}, "c": [{}]},
+    None, True, False, 0, 1, -1, 2**64, -(10**30), 0.0, -0.0, 1e-300, -1e300,
+    5e-324, [True, 1, 1.0, "1", None], [False, 0, -0.0], (1, "x"),
+    enum.IntEnum("Level", "LOW HIGH").HIGH,
+    {1: "int key", None: "none key", 2.5: "float key"},
+    JSON_STRINGS, [JSON_STRINGS, {"k": JSON_STRINGS}],
+    *JSON_STRINGS, *({s: s} for s in JSON_STRINGS),
+]
+
+
+def test_json_writer_matches_the_json_dumps_reference():
+    for value in JSON_EDGE_VALUES:
+        assert cli.to_json(value) == json_reference.to_json(value), value
+        assert cli.to_json(value, 2) == json_reference.to_json(value, 2), value
+    for s in JSON_STRINGS:
+        assert cli.to_json(s) == json.dumps(s), s
+    for bad in ({1}, 1j, object(), [{"k": b"bytes"}]):
+        for writer in (cli.to_json, json_reference.to_json):
+            with pytest.raises(TypeError, match="unserializable value of type"):
+                writer(bad)
+
+
 # --- payload shape and determinism ---------------------------------------
 
 
@@ -91,6 +122,19 @@ def test_whittaker_payload():
     assert doc["monodromy_order_residual"] < 1e-10
     raw_det = doc["generators"][0]["raw_det"]
     assert raw_det[0] == pytest.approx(-0.61803398875, abs=1e-9)
+
+
+def test_whittaker_payload_builds_each_generator_once(monkeypatch):
+    raw_builds = []
+    build = whittaker.whittaker_generator_raw
+
+    def counting(g, k):
+        raw_builds.append(k)
+        return build(g, k)
+
+    monkeypatch.setattr(whittaker, "whittaker_generator_raw", counting)
+    cli.run_whittaker(5)
+    assert raw_builds == list(range(11))
 
 
 def test_tessellation_payload():
@@ -203,6 +247,22 @@ def test_verify_passes_and_prints_one_line_per_check(capsys):
     body = lines[:-1]
     assert all(line.startswith("PASS") for line in body)
     assert len(body) >= 15
+
+
+def test_verify_evaluates_the_continuation_constants_once_per_sweep(monkeypatch):
+    # 8 per connection map (g = 2..5), 4 per Gauss sum at z = 1 (five of
+    # them), and 8 per continuation_constants: one call for the
+    # Gauss-summation limit and one for the whole 20-point sweep
+    calls = []
+    gamma_fn = whittaker.gamma_fn
+
+    def counting(x):
+        calls.append(x)
+        return gamma_fn(x)
+
+    monkeypatch.setattr(whittaker, "gamma_fn", counting)
+    assert cli.run_verify()[0] == 0
+    assert len(calls) == 4 * 8 + 5 * 4 + 2 * 8
 
 
 def test_verify_perturbation_hook_forces_failure(capsys):

@@ -55,6 +55,18 @@ def test_cross_ratio_rejects_coincident_points():
         cross_ratio(1, 1, 2, 3)
     with pytest.raises(ValueError):
         cross_ratio(INFINITY, INFINITY, 2, 3)
+    # every pair of slots, with all points finite and with INFINITY in
+    # each other slot
+    for i in range(4):
+        for j in range(i + 1, 4):
+            pts = [1, 2j, -1, 0.5]
+            pts[j] = pts[i]
+            variants = [pts] + [
+                pts[:k] + [INFINITY] + pts[k + 1 :] for k in range(4) if k not in (i, j)
+            ]
+            for args in variants:
+                with pytest.raises(ValueError, match="coincident"):
+                    cross_ratio(*args)
 
 
 def test_cross_ratio_moebius_invariance():

@@ -8,6 +8,7 @@ import hashlib
 
 import pytest
 
+import json_reference
 from fuchsian import cli
 
 # argv -> (sha256 of stdout, exit code); the --perturb runs pin the
@@ -58,6 +59,19 @@ def test_stdout_bytes_are_pinned(argv, expected, capsys):
     assert cli.main(list(argv)) == code
     out = capsys.readouterr().out
     assert sha256(out.encode("utf-8")) == digest
+
+
+JSON_COMMANDS = [argv for argv in GOLDEN_STDOUT if argv[0] != "verify"]
+
+
+@pytest.mark.parametrize(
+    "argv", JSON_COMMANDS, ids=[" ".join(argv) for argv in JSON_COMMANDS]
+)
+def test_json_dumps_reference_writes_the_pinned_bytes(argv, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "to_json", json_reference.to_json)
+    digest, code = GOLDEN_STDOUT[argv]
+    assert cli.main(list(argv)) == code
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == digest
 
 
 def test_render_svg_bytes_are_pinned(tmp_path):

@@ -83,6 +83,16 @@ def test_each_command_compiles_the_cli_once_and_skips_dataclasses(argv, tmp_path
         assert not {"dataclasses", "inspect"} & names
 
 
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _, _ in COMMANDS], ids=[" ".join(argv) for argv, _, _ in COMMANDS]
+)
+def test_no_command_imports_json(argv, tmp_path):
+    argv = [a.format(out=tmp_path / "f.svg") for a in argv]
+    _, names = imported_modules("-m", "fuchsian.cli", *argv)
+    assert "fuchsian" in names
+    assert "json" not in names
+
+
 def test_every_exported_name_is_its_defining_modules_object():
     assert len(fuchsian.__all__) == len(set(fuchsian.__all__)) == 47
     for module_name, names in fuchsian._EXPORTS.items():
