@@ -77,7 +77,6 @@ _EXPORTS = {
         "hde_params",
         "hyp2f1",
         "monodromy_zero",
-        "whittaker_generator",
         "whittaker_subgroup",
     ),
 }

@@ -20,7 +20,6 @@ from .curves import HyperellipticCurve, fde_coefficient, roots
 from .disk_geometry import (
     cross_ratio,
     fundamental_polygon,
-    geodesic_apex,
     geodesic_between,
     point_on_geodesic,
     polygon_area,
@@ -158,7 +157,7 @@ def run_checks(perturb: float = 0.0) -> tuple[bool, str]:
                     ortho_res,
                     abs(abs(side.center) ** 2 - side.radius**2 - 1.0),
                 )
-                apex_res = max(apex_res, point_on_geodesic(geodesic_apex(z, z2), side))
+                apex_res = max(apex_res, point_on_geodesic(side.apex, side))
     add("roots_identity", root_res <= 1e-12, f"max|z^n + sign|={root_res:.3e}")
     add(
         "geodesic_orthogonality",

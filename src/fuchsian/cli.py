@@ -294,7 +294,7 @@ def run_whittaker(g: int) -> dict:
             "abs_trace": abs(prod.trace),
             "class": classify(prod).value,
         }
-        for j, prod in enumerate(whittaker_subgroup(g, normalized))
+        for j, prod in enumerate(whittaker_subgroup(normalized))
     ]
     closed = connection_map(g)
     built = connection_map_from_gammas(g)
@@ -388,11 +388,11 @@ def render_svg(curve: HyperellipticCurve) -> str:
     polygon, labeled roots (r1..rn) and side apexes (m1..mn).
     """
     from .curves import roots
-    from .disk_geometry import fundamental_polygon, geodesic_apex, polygon_from_vertices
+    from .disk_geometry import fundamental_polygon, polygon_from_vertices
 
     rs = roots(curve)
     root_poly = polygon_from_vertices(rs)
-    mids = [geodesic_apex(*side.endpoints) for side in root_poly.sides]
+    mids = [side.apex for side in root_poly.sides]
     fund = fundamental_polygon(curve)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',

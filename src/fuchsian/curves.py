@@ -44,13 +44,6 @@ class HyperellipticCurve(_CurveFields):
         return 2 * self.genus + 1
 
 
-def genus_from_degree(n: int) -> int:
-    """Genus of a degree-n curve: floor((n - 1)/2); needs n >= 3."""
-    if n < 3:
-        raise ValueError("degree must be at least 3")
-    return (n - 1) // 2
-
-
 def roots(curve: HyperellipticCurve) -> list[complex]:
     """The n solutions of z^n = -sign, ordered by angle in (0, 2*pi].
 

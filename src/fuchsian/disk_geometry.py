@@ -44,6 +44,14 @@ class GeodesicArc(NamedTuple):
     radius: float | None = None
     direction: complex | None = None
 
+    @property
+    def apex(self) -> complex:
+        """The point of the geodesic with minimal modulus; the origin
+        for a diameter."""
+        if self.kind == "diameter":
+            return 0j
+        return self.center * (1.0 - self.radius / abs(self.center))
+
 
 class HyperbolicPolygon(NamedTuple):
     """Vertex-ordered polygon; side i joins vertex i to vertex i+1."""
@@ -125,14 +133,7 @@ def geodesic_apex(z1: complex, z2: complex) -> complex:
     ((1 - sin a)/cos a) e^(i (t1+t2)/2) with a = |t1 - t2|/2; diameters
     give the origin.
     """
-    return _arc_apex(geodesic_between(z1, z2))
-
-
-def _arc_apex(g: GeodesicArc) -> complex:
-    """geodesic_apex() of the endpoints of an arc already built."""
-    if g.kind == "diameter":
-        return 0j
-    return g.center * (1.0 - g.radius / abs(g.center))
+    return geodesic_between(z1, z2).apex
 
 
 def point_on_geodesic(z: complex, g: GeodesicArc) -> float:
@@ -174,17 +175,6 @@ def _side_involution(g: GeodesicArc, m: complex) -> MoebiusMap:
     b = z2 * q - z1 * p
     c = (m - z2) ** 2 - (m - z1) ** 2
     return _normalized(a, b, c, -a)
-
-
-def triangle_area(alpha: float, beta: float, gamma: float) -> float:
-    """Gauss-Bonnet: area of a hyperbolic triangle is pi minus angle sum."""
-    for ang in (alpha, beta, gamma):
-        if ang < 0:
-            raise ValueError("negative angle")
-    total = alpha + beta + gamma
-    if total >= math.pi:
-        raise ValueError("angle sum >= pi: not a hyperbolic triangle")
-    return math.pi - total
 
 
 def polygon_area(poly: HyperbolicPolygon | Sequence[float]) -> float:
@@ -237,15 +227,6 @@ def _tangent_at(side: GeodesicArc, v: complex) -> complex:
         if ((other - v) * t.conjugate()).real < 0:
             t = -t
     return t / abs(t)
-
-
-def vertex_cycle_angle_check(angles: Sequence[float], m: int) -> bool:
-    """True when the angle sum equals 2*pi/m within 1e-9."""
-    if not angles:
-        raise ValueError("empty angle list")
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    return abs(sum(angles) - 2.0 * math.pi / m) <= 1e-9
 
 
 def polygon_from_vertices(vertices: Sequence[complex]) -> HyperbolicPolygon:

@@ -8,10 +8,11 @@ are hyperbolic (the surface group). The 4g-sided ideal fundamental
 polygon is `disk_geometry.fundamental_polygon`.
 
 Each generator is built once: one geodesic per side gives both its apex
-and its side map, and each product is multiplied and normalized into a
-single map, through the entry helpers of `disk_geometry` and `moebius`
-that the public `geodesic_apex`, `side_pairing_elliptic`, `compose` and
-`normalize` wrap, so the results are the same floats.
+(the `GeodesicArc.apex` that the public `geodesic_apex` reads) and its
+side map, and each product is multiplied and normalized into a single
+map, through the entry helpers of `disk_geometry` and `moebius` that the
+public `side_pairing_elliptic`, `compose` and `normalize` wrap, so the
+results are the same floats.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 from . import NumericalError
 from .curves import HyperellipticCurve, roots
-from .disk_geometry import _arc_apex, _side_involution, geodesic_between
+from .disk_geometry import _side_involution, geodesic_between
 from .moebius import (
     DegenerateMapError,
     MapClass,
@@ -82,7 +83,7 @@ def boundary_generators(curve: HyperellipticCurve) -> FuchsianGroupSpec:
     gens = []
     for j in range(n):
         side = geodesic_between(rs[j], rs[(j + 1) % n])
-        gens.append(_side_involution(side, _arc_apex(side)))
+        gens.append(_side_involution(side, side.apex))
     return FuchsianGroupSpec("boundary", tuple(gens), curve)
 
 

@@ -52,10 +52,6 @@ INFINITY = _Infinity()
 Point = complex | _Infinity
 
 
-def is_infinite(z: Point) -> bool:
-    return z is INFINITY
-
-
 class MapClass(Enum):
     ELLIPTIC = "elliptic"
     PARABOLIC = "parabolic"
@@ -257,15 +253,6 @@ def inverse(m: MoebiusMap) -> MoebiusMap:
     return MoebiusMap._make(m.d, -m.b, -m.c, m.a)
 
 
-def projectively_equal(m1: MoebiusMap, m2: MoebiusMap, tol: float = 1e-9) -> bool:
-    """True when m1 and m2 differ by a scalar factor.
-
-    Checks m1 * m2^-1 against lambda*I by normalizing its (0, 0) entry,
-    which avoids entrywise ratios of near-zero entries.
-    """
-    return projective_distance(m1, m2) <= tol
-
-
 def projective_distance(m1: MoebiusMap, m2: MoebiusMap) -> float:
     """Max entrywise deviation of m1*m2^-1 from the identity, rescaled."""
     q = compose(m1, inverse(m2))
@@ -276,24 +263,3 @@ def projective_distance(m1: MoebiusMap, m2: MoebiusMap) -> float:
         abs(q.b / lam), abs(q.c / lam), abs(q.d / lam - 1.0)
     )
 
-
-def fixed_points(m: MoebiusMap) -> list[Point]:
-    """Solutions of (az + b)/(cz + d) = z for a non-identity map.
-
-    Parabolic maps have one fixed point, all others two. Raises
-    ValueError on the identity (every point is fixed).
-    """
-    n = normalize(m)
-    a, b, c, d = n.a, n.b, n.c, n.d
-    if abs(b) <= 1e-12 and abs(c) <= 1e-12 and abs(a - d) <= 1e-12:
-        raise ValueError("identity map: every point is fixed")
-    if c == 0:
-        # infinity is fixed; a second finite point exists unless a = d
-        if abs(a - d) <= CLASS_BOUNDARY_TOL:
-            return [INFINITY]
-        return [b / (d - a), INFINITY]
-    disc = n.trace * n.trace - 4 * n.det
-    if abs(disc) <= 4 * CLASS_BOUNDARY_TOL:
-        return [(a - d) / (2 * c)]
-    s = cmath.sqrt(disc)
-    return [((a - d) + s) / (2 * c), ((a - d) - s) / (2 * c)]

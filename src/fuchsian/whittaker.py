@@ -141,10 +141,9 @@ def continuation_constants(
     with c = gamma - alpha - beta.
     """
     c = gamma - alpha - beta
-    coeff_a = gamma_fn(gamma) * gamma_fn(c) / (
-        gamma_fn(gamma - alpha) * gamma_fn(gamma - beta)
-    )
-    coeff_b = gamma_fn(gamma) * gamma_fn(-c) / (gamma_fn(alpha) * gamma_fn(beta))
+    gam = gamma_fn(gamma)
+    coeff_a = gam * gamma_fn(c) / (gamma_fn(gamma - alpha) * gamma_fn(gamma - beta))
+    coeff_b = gam * gamma_fn(-c) / (gamma_fn(alpha) * gamma_fn(beta))
     return coeff_a, coeff_b
 
 
@@ -283,22 +282,13 @@ def whittaker_generator_raw(g: int, k: int) -> MoebiusMap:
     return MoebiusMap(r, -phase, phase.conjugate(), -r)
 
 
-def whittaker_generator(g: int, k: int) -> MoebiusMap:
-    """Determinant-1 normalization of the closed-form generator."""
-    return normalize(whittaker_generator_raw(g, k))
-
-
-def whittaker_subgroup(
-    g: int, generators: Sequence[MoebiusMap] | None = None
-) -> list[MoebiusMap]:
+def whittaker_subgroup(generators: Sequence[MoebiusMap]) -> list[MoebiusMap]:
     """The 2g normalized products of generator k (k = 1..2g, 0-based,
     on the left) with generator 0, generating the genus-g surface
     group; every product is hyperbolic.
 
-    `generators` are the 2g+1 maps whittaker_generator(g, k), k = 0..2g,
-    for a caller that holds them already; by default they are built here.
+    `generators` are the 2g+1 normalized closed-form generators,
+    normalize(whittaker_generator_raw(g, k)) for k = 0..2g.
     """
-    if generators is None:
-        generators = [whittaker_generator(g, k) for k in range(2 * g + 1)]
     first = generators[0]
     return [normalize(compose(gen, first)) for gen in generators[1:]]

@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import json_reference
-from fuchsian import NumericalError, cli, whittaker
+from fuchsian import NumericalError, checks, cli, disk_geometry, whittaker
 from fuchsian.curves import HyperellipticCurve
 from fuchsian.disk_geometry import DegenerateGeodesicError, geodesic_between
 from fuchsian.group_builder import (
@@ -251,8 +251,9 @@ def test_verify_passes_and_prints_one_line_per_check(capsys):
 
 def test_verify_evaluates_the_continuation_constants_once_per_sweep(monkeypatch):
     # 8 per connection map (g = 2..5), 4 per Gauss sum at z = 1 (five of
-    # them), and 8 per continuation_constants: one call for the
-    # Gauss-summation limit and one for the whole 20-point sweep
+    # them), and 7 per continuation_constants (Gamma(gamma) once): one
+    # call for the Gauss-summation limit and one for the whole 20-point
+    # sweep
     calls = []
     gamma_fn = whittaker.gamma_fn
 
@@ -262,7 +263,38 @@ def test_verify_evaluates_the_continuation_constants_once_per_sweep(monkeypatch)
 
     monkeypatch.setattr(whittaker, "gamma_fn", counting)
     assert cli.run_verify()[0] == 0
-    assert len(calls) == 4 * 8 + 5 * 4 + 2 * 8
+    assert len(calls) == 4 * 8 + 5 * 4 + 2 * 7
+
+
+def count_geodesic_solves(monkeypatch) -> list:
+    """Record each call of disk_geometry.geodesic_between made through
+    that module's own name (its polygons and geodesic_apex); modules
+    that imported the function keep their binding."""
+    calls = []
+    solve = disk_geometry.geodesic_between
+
+    def counting(z1, z2):
+        calls.append((z1, z2))
+        return solve(z1, z2)
+
+    monkeypatch.setattr(disk_geometry, "geodesic_between", counting)
+    return calls
+
+
+def test_render_reads_each_apex_from_its_side(monkeypatch):
+    calls = count_geodesic_solves(monkeypatch)
+    cli.render_svg(HyperellipticCurve(2, -1))
+    # the 5 root-polygon sides, the side the fundamental polygon reflects
+    # across, and its 8 sides; no second solve per apex
+    assert len(calls) == 5 + 1 + 8
+
+
+def test_verify_reads_each_apex_from_its_side(monkeypatch):
+    calls = count_geodesic_solves(monkeypatch)
+    assert checks.run_checks()[0]
+    # fundamental_polygon's 1 + 4g solves for g = 1..6; the apex check
+    # reads the sides it solved itself
+    assert len(calls) == sum(1 + 4 * g for g in range(1, 7))
 
 
 def test_verify_perturbation_hook_forces_failure(capsys):

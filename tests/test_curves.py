@@ -9,7 +9,6 @@ import pytest
 from fuchsian.curves import (
     HyperellipticCurve,
     fde_coefficient,
-    genus_from_degree,
     roots,
 )
 
@@ -21,15 +20,6 @@ def test_curve_validation():
         HyperellipticCurve(0, 1)
     with pytest.raises(ValueError):
         HyperellipticCurve(2, 2)
-
-
-def test_genus_from_degree():
-    assert genus_from_degree(3) == 1
-    assert genus_from_degree(5) == 2
-    assert genus_from_degree(6) == 2
-    assert genus_from_degree(7) == 3
-    with pytest.raises(ValueError):
-        genus_from_degree(2)
 
 
 def test_roots_solve_the_defining_equation():

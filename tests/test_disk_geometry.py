@@ -16,8 +16,6 @@ from fuchsian.disk_geometry import (
     polygon_area,
     polygon_from_vertices,
     side_pairing_elliptic,
-    triangle_area,
-    vertex_cycle_angle_check,
 )
 from fuchsian.moebius import INFINITY, MoebiusMap, apply, compose
 
@@ -212,18 +210,10 @@ def test_side_pairing_frozen_first_generator():
 # --- areas and angles ----------------------------------------------------
 
 
-def test_triangle_area_gauss_bonnet():
-    assert abs(triangle_area(0.3, 0.4, 0.5) - (math.pi - 1.2)) < 1e-15
-    assert triangle_area(0.0, 0.0, 0.0) == math.pi
-    with pytest.raises(ValueError):
-        triangle_area(1.5, 1.5, 0.5)
-    with pytest.raises(ValueError):
-        triangle_area(-0.1, 0.2, 0.3)
-
-
 def test_polygon_area_from_angle_list():
     angles = [0.2, 0.3, 0.1, 0.25]
     assert abs(polygon_area(angles) - (2 * math.pi - 0.85)) < 1e-15
+    assert abs(polygon_area([0.3, 0.4, 0.5]) - (math.pi - 1.2)) < 1e-15
     with pytest.raises(ValueError):
         polygon_area([0.1, 0.2])
     with pytest.raises(ValueError):
@@ -299,16 +289,6 @@ def test_interior_angles_vanish_toward_ideal_vertices():
             assert ang < prev
         prev = ang
     assert prev < 0.05
-
-
-def test_vertex_cycle_angle_check():
-    assert vertex_cycle_angle_check([math.pi / 2, math.pi / 2], 2)
-    assert vertex_cycle_angle_check([2 * math.pi / 8] * 1, 8)
-    assert not vertex_cycle_angle_check([0.1, 0.2], 3)
-    with pytest.raises(ValueError):
-        vertex_cycle_angle_check([], 3)
-    with pytest.raises(ValueError):
-        vertex_cycle_angle_check([0.1], 0)
 
 
 def test_polygon_from_vertices_builds_closed_side_list():

@@ -1,7 +1,7 @@
 """Every package and test module parses as Python 3.10, the oldest
 version pyproject.toml's requires-python admits, and reads every name
-it imports; every exported name and every module constant of the
-package has a reader."""
+it imports; every exported name, every public module-level function
+and class, and every module constant of the package has a reader."""
 
 import ast
 import re
@@ -114,6 +114,31 @@ def test_unread_name_scan_flags_exports_and_constants():
     assert module_constants(module) == ["A", "LIMIT", "T", "_B"]
 
 
+def public_definitions(tree: ast.Module) -> list[str]:
+    """Functions and classes defined at module level without a leading underscore."""
+    return sorted(
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    )
+
+
+def test_public_definition_scan_flags_an_unread_helper():
+    module = ast.parse(
+        "class Shown:\n    def method(self):\n        pass\n"
+        "class _Hidden:\n    pass\n"
+        "def used():\n    return Shown()\n"
+        "def helper():\n    def inner():\n        pass\n"
+        "async def waiter():\n    pass\n"
+    )
+    assert public_definitions(module) == ["Shown", "helper", "used", "waiter"]
+    reader = ast.parse("import m\nm.used()\n")
+    names = public_definitions(module)
+    # a definition does not read its own name; a test file is no reader
+    assert unread_names(names, [module, reader]) == ["helper", "waiter"]
+
+
 def private_layer_imports(tree: ast.Module) -> list[str]:
     """Underscore names imported from a module of the package, by a
     relative import or one from `fuchsian`."""
@@ -145,6 +170,12 @@ def test_front_ends_import_only_public_layer_names(name):
 def test_every_export_is_read_by_the_package_or_the_benchmark():
     readers = [p for p in PACKAGE if p.name != "__init__.py"] + BENCHMARK
     assert unread_names(fuchsian.__all__, parse(readers)) == []
+
+
+def test_every_public_definition_is_read_by_the_package_or_the_benchmark():
+    names = [name for tree in parse(PACKAGE) for name in public_definitions(tree)]
+    assert "MoebiusMap" in names and "render_svg" in names
+    assert unread_names(names, parse(PACKAGE + BENCHMARK)) == []
 
 
 def test_every_module_constant_is_read():

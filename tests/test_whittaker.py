@@ -24,7 +24,6 @@ from fuchsian.whittaker import (
     monodromy_zero,
     sine_product_residual,
     trig_identity_residuals,
-    whittaker_generator,
     whittaker_generator_raw,
     whittaker_subgroup,
 )
@@ -264,10 +263,13 @@ def test_raw_generator_index_bounds():
         whittaker_generator_raw(1, 0)
 
 
+def normalized_generators(g):
+    return [normalize(whittaker_generator_raw(g, k)) for k in range(2 * g + 1)]
+
+
 def test_normalized_generators_are_elliptic_involutions():
     for g in (2, 3, 4):
-        for k in range(2 * g + 1):
-            gen = whittaker_generator(g, k)
+        for gen in normalized_generators(g):
             assert abs(gen.det - 1.0) < 1e-12
             assert gen.trace == 0
             assert classify(gen) is MapClass.ELLIPTIC
@@ -276,7 +278,7 @@ def test_normalized_generators_are_elliptic_involutions():
 
 
 def test_subgroup_products_frozen_traces_genus_two():
-    prods = whittaker_subgroup(2)
+    prods = whittaker_subgroup(normalized_generators(2))
     assert len(prods) == 4
     want = (4.2360679775, 7.8541019662, 7.8541019662, 4.2360679775)
     for prod, expect in zip(prods, want):
@@ -287,7 +289,7 @@ def test_subgroup_products_frozen_traces_genus_two():
 
 def test_subgroup_products_hyperbolic_for_higher_genus():
     for g in (3, 4, 5, 6):
-        prods = whittaker_subgroup(g)
+        prods = whittaker_subgroup(normalized_generators(g))
         assert len(prods) == 2 * g
         for prod in prods:
             assert classify(prod) is MapClass.HYPERBOLIC
