@@ -132,10 +132,10 @@ def test_public_definition_scan_flags_an_unread_helper():
         "def helper():\n    def inner():\n        pass\n"
         "async def waiter():\n    pass\n"
     )
-    assert public_definitions(module) == ["Shown", "helper", "used", "waiter"]
-    reader = ast.parse("import m\nm.used()\n")
     names = public_definitions(module)
-    # a definition does not read its own name; a test file is no reader
+    assert names == ["Shown", "helper", "used", "waiter"]
+    reader = ast.parse("import m\nm.used()\n")
+    # defining a name does not read it
     assert unread_names(names, [module, reader]) == ["helper", "waiter"]
 
 
