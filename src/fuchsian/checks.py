@@ -16,11 +16,10 @@ import cmath
 import math
 import random
 
-from .curves import HyperellipticCurve, fde_coefficient, roots
+from .curves import HyperellipticCurve, fde_coefficient
 from .disk_geometry import (
     cross_ratio,
     fundamental_polygon,
-    geodesic_between,
     point_on_geodesic,
     polygon_area,
 )
@@ -105,16 +104,15 @@ def run_checks(perturb: float = 0.0) -> tuple[bool, str]:
         f"|tr| vs (4.6180, 8.8541, 8.8541, 4.6180) residual={trace_res:.3e}",
     )
 
-    # Boundary-group contract and hyperbolic products across the family.
-    det_res = 0.0
-    tr_res = 0.0
-    inv_res = 0.0
-    all_elliptic = True
-    all_hyperbolic = True
+    # One pass builds each boundary group of the family once for the group
+    # contract, products, side geometry and (sign -1) ideal polygon areas.
+    det_res = tr_res = inv_res = root_res = ortho_res = apex_res = 0.0
+    all_elliptic = all_hyperbolic = area_ok = True
     min_product_trace = float("inf")
     for g in range(1, 7):
         for sign in (1, -1):
-            base = boundary_generators(HyperellipticCurve(g, sign))
+            curve = HyperellipticCurve(g, sign)
+            base = boundary_generators(curve)
             for entry in verify_group(base).entries:
                 det_res = max(det_res, entry.det_residual)
                 tr_res = max(tr_res, abs(entry.trace))
@@ -124,6 +122,19 @@ def run_checks(perturb: float = 0.0) -> tuple[bool, str]:
                 for entry in verify_group(subgroup_generators(base, k)).entries:
                     all_hyperbolic &= entry.map_class == "hyperbolic"
                     min_product_trace = min(min_product_trace, abs(entry.trace))
+            n = len(base.sides)
+            for side in base.sides:
+                root_res = max(root_res, abs(side.endpoints[0] ** n + sign))
+                ortho_res = max(
+                    ortho_res,
+                    abs(abs(side.center) ** 2 - side.radius**2 - 1.0),
+                )
+                apex_res = max(apex_res, point_on_geodesic(side.apex, side))
+            if sign == -1:
+                poly = fundamental_polygon(curve)
+                area_ok &= len(poly.vertices) == 4 * g
+                area_ok &= all(poly.ideal)
+                area_ok &= polygon_area(poly) == (4 * g - 2) * math.pi
     add(
         "boundary_contract",
         det_res <= 1e-9 and tr_res <= 1e-8 and all_elliptic,
@@ -140,24 +151,6 @@ def run_checks(perturb: float = 0.0) -> tuple[bool, str]:
         f"max entrywise |T*T + I|={inv_res:.3e} tol=1e-8",
     )
 
-    # Roots and geodesic geometry.
-    root_res = 0.0
-    ortho_res = 0.0
-    apex_res = 0.0
-    for g in range(1, 7):
-        for sign in (1, -1):
-            curve = HyperellipticCurve(g, sign)
-            rs = roots(curve)
-            n = len(rs)
-            for j, z in enumerate(rs):
-                root_res = max(root_res, abs(z**n + sign))
-                z2 = rs[(j + 1) % n]
-                side = geodesic_between(z, z2)
-                ortho_res = max(
-                    ortho_res,
-                    abs(abs(side.center) ** 2 - side.radius**2 - 1.0),
-                )
-                apex_res = max(apex_res, point_on_geodesic(side.apex, side))
     add("roots_identity", root_res <= 1e-12, f"max|z^n + sign|={root_res:.3e}")
     add(
         "geodesic_orthogonality",
@@ -322,12 +315,6 @@ def run_checks(perturb: float = 0.0) -> tuple[bool, str]:
     add("tessellation_table", table_ok, "g=2..10, three degree families, exact")
 
     # Ideal fundamental polygons have area (4g - 2)*pi exactly.
-    area_ok = True
-    for g in range(1, 7):
-        poly = fundamental_polygon(HyperellipticCurve(g, -1))
-        area_ok &= len(poly.vertices) == 4 * g
-        area_ok &= all(poly.ideal)
-        area_ok &= polygon_area(poly) == (4 * g - 2) * math.pi
     add("ideal_polygon_area", area_ok, "g=1..6, area == (4g-2)*pi, side count 4g")
 
     lines = []

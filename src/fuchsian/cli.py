@@ -98,14 +98,14 @@ def _scalar(value) -> str | None:
     return None
 
 
-def to_json(value, indent: int = 0) -> str:
+def to_json(value) -> str:
     """Serialize nested dict/list/scalar data with stable formatting.
 
     Dicts and lists holding a container go one item per line, indented
     two spaces per level; a list of scalars stays on one line.
     """
     out: list[str] = []
-    _write(value, "  " * indent, out)
+    _write(value, "", out)
     return "".join(out)
 
 
@@ -208,14 +208,12 @@ def run_genus(m: int, n: int) -> dict:
 
 def run_generators(g: int, sign: int, k: int = 1) -> dict:
     from .curves import HyperellipticCurve, roots
-    from .disk_geometry import geodesic_apex
     from .group_builder import boundary_generators, subgroup_generators, verify_group
 
     curve = HyperellipticCurve(g, sign)
     rs = roots(curve)
     n = len(rs)
     base = boundary_generators(curve)
-    mids = [geodesic_apex(z, rs[(j + 1) % n]) for j, z in enumerate(rs)]
     sub = subgroup_generators(base, k)
     rep_base = verify_group(base)
     rep_sub = verify_group(sub)
@@ -247,7 +245,7 @@ def run_generators(g: int, sign: int, k: int = 1) -> dict:
         "degree": n,
         "fixed_index": k,
         "roots": [_cpair(z) for z in rs],
-        "midpoints": [_cpair(z) for z in mids],
+        "midpoints": [_cpair(side.apex) for side in base.sides],
         "boundary_group": boundary,
         "subgroup": subgroup,
         "verify": {

@@ -8,9 +8,9 @@ are hyperbolic (the surface group). The 4g-sided ideal fundamental
 polygon is `disk_geometry.fundamental_polygon`.
 
 Each generator is built once: one geodesic per side gives both its apex
-(the `GeodesicArc.apex` that the public `geodesic_apex` reads) and its
-side map, and each product is multiplied and normalized into a single
-map, through the entry helpers of `disk_geometry` and `moebius` that the
+and its side map, and the boundary group keeps it, so no reader solves a
+side again. Each product is multiplied and normalized into a single map,
+through the entry helpers of `disk_geometry` and `moebius` that the
 public `side_pairing_elliptic`, `compose` and `normalize` wrap, so the
 results are the same floats.
 """
@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from . import NumericalError
 from .curves import HyperellipticCurve, roots
-from .disk_geometry import _side_involution, geodesic_between
+from .disk_geometry import GeodesicArc, _side_involution, geodesic_between
 from .moebius import (
     DegenerateMapError,
     MapClass,
@@ -53,8 +53,8 @@ class NonHyperbolicProductError(NumericalError, RuntimeError):
 class FuchsianGroupSpec:
     kind: str  # "boundary" | "surface"
     generators: tuple[MoebiusMap, ...]
-    curve: HyperellipticCurve
-    fixed_index: int | None = None
+    # boundary kind: side j is the geodesic from root r_j to r_(j+1)
+    sides: tuple[GeodesicArc, ...] = ()
 
 
 class VerifyEntry(NamedTuple):
@@ -74,17 +74,20 @@ class VerifyReport(NamedTuple):
 def boundary_generators(curve: HyperellipticCurve) -> FuchsianGroupSpec:
     """One elliptic side map per cyclically adjacent root pair.
 
-    Generator j is side_pairing_elliptic(z1, z2, geodesic_apex(z1, z2))
-    for roots z1 = r_j and z2 = r_(j+1), computed from one geodesic and
-    built as one map.
+    Generator j is side_pairing_elliptic(z1, z2, m) for roots z1 = r_j,
+    z2 = r_(j+1) and the apex m of the geodesic through them, computed
+    from one geodesic and built as one map; the spec keeps that geodesic
+    as side j.
     """
     rs = roots(curve)
     n = len(rs)
+    sides = []
     gens = []
     for j in range(n):
         side = geodesic_between(rs[j], rs[(j + 1) % n])
+        sides.append(side)
         gens.append(_side_involution(side, side.apex))
-    return FuchsianGroupSpec("boundary", tuple(gens), curve)
+    return FuchsianGroupSpec("boundary", tuple(gens), tuple(sides))
 
 
 def subgroup_generators(base: FuchsianGroupSpec, k: int = 1) -> FuchsianGroupSpec:
@@ -111,7 +114,7 @@ def subgroup_generators(base: FuchsianGroupSpec, k: int = 1) -> FuchsianGroupSpe
                 f"product of side maps {k} and {j} is not hyperbolic"
             )
         products.append(prod)
-    return FuchsianGroupSpec("surface", tuple(products), base.curve, fixed_index=k)
+    return FuchsianGroupSpec("surface", tuple(products))
 
 
 def verify_group(spec: FuchsianGroupSpec) -> VerifyReport:

@@ -248,7 +248,7 @@ def trig_identity_residuals(g: int) -> tuple[float, float]:
         = 2 cos(a pi) e^(-+ (g+1)a pi i)
     used to reduce the Gamma-ratio map to the closed form.
     """
-    a = 1.0 / (2 * g + 1)
+    a = hde_params(g).a
     sa = math.sin(a * math.pi)
     sga = math.sin(g * a * math.pi)
     sg1a = math.sin((g - 1) * a * math.pi)
@@ -262,7 +262,7 @@ def trig_identity_residuals(g: int) -> tuple[float, float]:
 
 def sine_product_residual(g: int) -> float:
     """Residual of sin((g-1)a pi) sin(ga pi) = (cos a pi + cos 2a pi)/2."""
-    a = 1.0 / (2 * g + 1)
+    a = hde_params(g).a
     lhs = math.sin((g - 1) * a * math.pi) * math.sin(g * a * math.pi)
     rhs = (math.cos(a * math.pi) + math.cos(2 * a * math.pi)) / 2.0
     return abs(lhs - rhs)

@@ -81,7 +81,6 @@ JSON_EDGE_VALUES = [
 def test_json_writer_matches_the_json_dumps_reference():
     for value in JSON_EDGE_VALUES:
         assert cli.to_json(value) == json_reference.to_json(value), value
-        assert cli.to_json(value, 2) == json_reference.to_json(value, 2), value
     for s in JSON_STRINGS:
         assert cli.to_json(s) == json.dumps(s), s
     for bad in ({1}, 1j, object(), [{"k": b"bytes"}]):
@@ -181,14 +180,10 @@ def test_serialized_matrices_reverify_after_renormalization(tmp_path):
         a, b, c, d = (complex(re, im) for re, im in entry["matrix"])
         return normalize(MoebiusMap(a, b, c, d))
 
-    curve = HyperellipticCurve(doc["genus"], doc["sign"])
     boundary = FuchsianGroupSpec(
-        "boundary", tuple(revive(e) for e in doc["boundary_group"]), curve
+        "boundary", tuple(revive(e) for e in doc["boundary_group"])
     )
-    products = FuchsianGroupSpec(
-        "surface", tuple(revive(e) for e in doc["subgroup"]), curve,
-        fixed_index=doc["fixed_index"],
-    )
+    products = FuchsianGroupSpec("surface", tuple(revive(e) for e in doc["subgroup"]))
     assert verify_group(boundary).passed
     assert verify_group(products).passed
 
@@ -267,9 +262,8 @@ def test_verify_evaluates_the_continuation_constants_once_per_sweep(monkeypatch)
 
 
 def count_geodesic_solves(monkeypatch) -> list:
-    """Record each call of disk_geometry.geodesic_between made through
-    that module's own name (its polygons and geodesic_apex); modules
-    that imported the function keep their binding."""
+    """Record each call of disk_geometry.geodesic_between, through every
+    loaded package module that binds the name."""
     calls = []
     solve = disk_geometry.geodesic_between
 
@@ -277,7 +271,11 @@ def count_geodesic_solves(monkeypatch) -> list:
         calls.append((z1, z2))
         return solve(z1, z2)
 
-    monkeypatch.setattr(disk_geometry, "geodesic_between", counting)
+    layers = [m for name, m in sys.modules.items() if name.startswith("fuchsian.")]
+    for module in layers:
+        if getattr(module, "geodesic_between", None) is solve:
+            monkeypatch.setattr(module, "geodesic_between", counting)
+    assert disk_geometry.geodesic_between is counting
     return calls
 
 
@@ -289,12 +287,23 @@ def test_render_reads_each_apex_from_its_side(monkeypatch):
     assert len(calls) == 5 + 1 + 8
 
 
+def test_generators_reads_each_apex_from_its_side(monkeypatch):
+    calls = count_geodesic_solves(monkeypatch)
+    cli.run_generators(41, -1, 83)
+    # boundary_generators' 83 root sides, which also give the midpoints
+    assert len(calls) == 83
+
+
 def test_verify_reads_each_apex_from_its_side(monkeypatch):
     calls = count_geodesic_solves(monkeypatch)
     assert checks.run_checks()[0]
-    # fundamental_polygon's 1 + 4g solves for g = 1..6; the apex check
-    # reads the sides it solved itself
-    assert len(calls) == sum(1 + 4 * g for g in range(1, 7))
+    # the genus-2 example's 5 root sides, the 2g+1 root sides of each
+    # boundary group for g = 1..6 and both signs, and fundamental_polygon's
+    # 1 + 4g solves for g = 1..6; the geometry checks read the boundary
+    # groups' sides
+    assert len(calls) == 5 + sum(
+        2 * (2 * g + 1) + 1 + 4 * g for g in range(1, 7)
+    )
 
 
 def test_verify_perturbation_hook_forces_failure(capsys):

@@ -1,4 +1,5 @@
-"""Byte pins of command output: sha256 of what `fuchsian` writes.
+"""Byte pins of command output: sha256 of what `fuchsian` writes, and
+the exact stderr and exit code of commands that fail.
 
 A change to the arithmetic, the float formatting or the payload layout
 changes these hashes; a refactor that keeps every float bit does not.
@@ -41,6 +42,19 @@ GOLDEN_STDOUT = {
     ("tessellation", "--degree", "22", "--genus", "4"): (
         "2688f5cc6cec1d47e54ba1a40445524e20f2d7900cdbe8505c4044f008e45004", 0),
 }
+# argv -> (stderr, exit code) of commands that fail; each writes nothing
+# to stdout. "{out}" stands for a fresh file path, which stays unwritten.
+GOLDEN_STDERR = {
+    ("generators", "--genus", "44", "--sign", "plus"): (
+        "error: normalized trace -2624.6+1.06938e-06j is not real: "
+        "no isometry class\n", 3),
+    ("generators", "--genus", "3", "--sign", "minus", "--fixed", "8"): (
+        "error: fixed index 8 outside 1..7\n", 2),
+    ("render", "--genus", "81", "--sign", "plus", "--out", "{out}"): (
+        "error: geodesic through 0.999257+0.0385376j and "
+        "0.999257+0.0385412j: computed center lies inside the unit circle "
+        "(|C|^2 - 1 = -1.29e-13)\n", 3),
+}
 GOLDEN_RENDER_GENUS_5_PLUS = (
     "6cfd8fa1af7f02501448166be5fbeff0c4e1a0b4cdab21d5abf3933f082805fa"
 )
@@ -59,6 +73,21 @@ def test_stdout_bytes_are_pinned(argv, expected, capsys):
     assert cli.main(list(argv)) == code
     out = capsys.readouterr().out
     assert sha256(out.encode("utf-8")) == digest
+
+
+@pytest.mark.parametrize(
+    ("argv", "expected"), list(GOLDEN_STDERR.items()),
+    ids=[" ".join(argv) for argv in GOLDEN_STDERR],
+)
+def test_stderr_bytes_of_failing_commands_are_pinned(
+    argv, expected, capsys, tmp_path
+):
+    stderr, code = expected
+    out = tmp_path / "f.svg"
+    assert cli.main([str(out) if a == "{out}" else a for a in argv]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", stderr)
+    assert not out.exists()
 
 
 JSON_COMMANDS = [argv for argv in GOLDEN_STDOUT if argv[0] != "verify"]

@@ -95,7 +95,7 @@ def test_subgroup_products_frozen_traces_and_order():
     base = boundary_generators(HyperellipticCurve(2, -1))
     sub = subgroup_generators(base)
     assert sub.kind == "surface"
-    assert sub.fixed_index == 1
+    assert sub.sides == ()
     assert len(sub.generators) == 4
     want = (4.6180339887, 8.8541019662, 8.8541019662, 4.6180339887)
     for prod, expect in zip(sub.generators, want):
@@ -112,7 +112,6 @@ def test_subgroup_with_other_fixed_indices():
     base = boundary_generators(HyperellipticCurve(2, -1))
     for k in range(1, 6):
         sub = subgroup_generators(base, k)
-        assert sub.fixed_index == k
         assert len(sub.generators) == 4
         assert verify_group(sub).passed
     direct = normalize(compose(base.generators[2], base.generators[0]))
@@ -136,12 +135,12 @@ def test_non_hyperbolic_product_is_detected():
     t1 = base.generators[0]
     # pairing a side map with itself gives an involution squared: -I,
     # which is parabolic-classified, never hyperbolic
-    rigged = FuchsianGroupSpec("boundary", (t1, t1), base.curve)
+    rigged = FuchsianGroupSpec("boundary", (t1, t1))
     with pytest.raises(NonHyperbolicProductError):
         subgroup_generators(rigged)
     # a product whose determinant underflows cannot be normalized
     tiny = MoebiusMap(1e-100, 0, 0, 1e-100)
-    rigged = FuchsianGroupSpec("boundary", (tiny, tiny), base.curve)
+    rigged = FuchsianGroupSpec("boundary", (tiny, tiny))
     with pytest.raises(DegenerateMapError):
         subgroup_generators(rigged)
 
@@ -187,7 +186,7 @@ def test_verify_group_flags_a_bent_generator():
     base = boundary_generators(HyperellipticCurve(2, -1))
     t1 = base.generators[0]
     bent = MoebiusMap(t1.a + 1e-3, t1.b, t1.c, t1.d)
-    rigged = FuchsianGroupSpec("boundary", (bent,) + base.generators[1:], base.curve)
+    rigged = FuchsianGroupSpec("boundary", (bent,) + base.generators[1:])
     report = verify_group(rigged)
     assert not report.passed
     assert not report.entries[0].passed
@@ -206,7 +205,7 @@ def bend_surface(surface: FuchsianGroupSpec) -> FuchsianGroupSpec:
 def test_bent_surface_fails_on_its_first_entry_only():
     surface = subgroup_generators(boundary_generators(HyperellipticCurve(3, -1)), 2)
     bent = bend_surface(surface)
-    assert (bent.kind, bent.curve, bent.fixed_index) == ("surface", surface.curve, 2)
+    assert (bent.kind, bent.sides) == ("surface", ())
     assert bent.generators[1:] == surface.generators[1:]
     assert verify_group(surface).passed
     report = verify_group(bent)
@@ -216,9 +215,7 @@ def test_bent_surface_fails_on_its_first_entry_only():
 
 def test_verify_group_checks_hyperbolicity_of_products():
     base = boundary_generators(HyperellipticCurve(2, -1))
-    elliptic_posing_as_product = FuchsianGroupSpec(
-        "surface", (base.generators[0],), base.curve, fixed_index=1
-    )
+    elliptic_posing_as_product = FuchsianGroupSpec("surface", (base.generators[0],))
     report = verify_group(elliptic_posing_as_product)
     assert not report.passed
     assert report.entries[0].map_class == "elliptic"
@@ -271,10 +268,9 @@ def test_verify_group_matches_reference_field_for_field():
             specs.append(base)
             for k in sorted({1, g, 2 * g + 1}):
                 specs.append(subgroup_generators(base, k))
-    curve = specs[0].curve
     tiny = MoebiusMap(1e-100, 0, 0, 1e-100)  # its square's det underflows
-    bent = FuchsianGroupSpec("boundary", (tiny,), curve)
-    ill = FuchsianGroupSpec("surface", ILL_CONDITIONED_MAPS, curve, fixed_index=1)
+    bent = FuchsianGroupSpec("boundary", (tiny,))
+    ill = FuchsianGroupSpec("surface", ILL_CONDITIONED_MAPS)
     specs += [bent, ill]
     for spec in specs:
         assert outcome(verify_group, spec) == outcome(reference_verify_group, spec)
@@ -355,9 +351,10 @@ def public_side_map(z1: complex, z2: complex) -> MoebiusMap:
 
 def side_group(curve, side_map) -> FuchsianGroupSpec:
     rs = roots(curve)
-    n = len(rs)
-    gens = tuple(side_map(rs[j], rs[(j + 1) % n]) for j in range(n))
-    return FuchsianGroupSpec("boundary", gens, curve)
+    pairs = [(z, rs[(j + 1) % len(rs)]) for j, z in enumerate(rs)]
+    gens = tuple(side_map(z1, z2) for z1, z2 in pairs)
+    sides = tuple(geodesic_between(z1, z2) for z1, z2 in pairs)
+    return FuchsianGroupSpec("boundary", gens, sides)
 
 
 def product_group(base, k, product, map_class) -> FuchsianGroupSpec:
@@ -372,7 +369,7 @@ def product_group(base, k, product, map_class) -> FuchsianGroupSpec:
                 f"product of side maps {k} and {j} is not hyperbolic"
             )
         products.append(prod)
-    return FuchsianGroupSpec("surface", tuple(products), base.curve, fixed_index=k)
+    return FuchsianGroupSpec("surface", tuple(products))
 
 
 def group_outcome(fn, *args):

@@ -218,6 +218,10 @@ def test_connection_map_rejects_small_genus():
         connection_map_from_gammas(1)
     with pytest.raises(ValueError):
         monodromy_zero(1)
+    with pytest.raises(ValueError):
+        trig_identity_residuals(1)
+    with pytest.raises(ValueError):
+        sine_product_residual(1)
 
 
 def test_monodromy_is_a_root_of_unity_action():
