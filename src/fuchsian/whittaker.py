@@ -61,6 +61,11 @@ def _gamma_complex(z: complex) -> complex:
     return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * cmath.exp(-t) * acc
 
 
+def _is_pole(x: float) -> bool:
+    """Whether Gamma has a pole at x (a nonpositive integer)."""
+    return x <= 0 and x == int(x)
+
+
 def gamma_fn(x: complex | float) -> complex | float:
     """Gamma function via the fixed Lanczos approximation.
 
@@ -70,34 +75,18 @@ def gamma_fn(x: complex | float) -> complex | float:
     if isinstance(x, complex) and x.imag != 0:
         return _gamma_complex(x)
     xr = float(x.real) if isinstance(x, complex) else float(x)
-    if xr <= 0 and xr == int(xr):
+    if _is_pole(xr):
         raise ValueError(f"gamma pole at nonpositive integer {int(xr)}")
     return _gamma_complex(complex(xr)).real
 
 
-def hyp2f1(alpha: float, beta: float, gamma: float, z: complex) -> complex:
-    """Gauss hypergeometric series F(alpha, beta; gamma; z).
+def _series(alpha: float, beta: float, gamma: float, z: complex) -> complex:
+    """The Maclaurin series of F(alpha, beta; gamma; z), |z| < 1.
 
-    Valid for |z| < 1; z = 1 uses the Gauss summation
-    Gamma(gamma) Gamma(gamma-alpha-beta) / (Gamma(gamma-alpha)
-    Gamma(gamma-beta)), which needs gamma - alpha - beta > 0. The series
-    stops when the term magnitude stays below SERIES_TOL times the
+    It stops when the term magnitude stays below SERIES_TOL times the
     partial sum for SERIES_CONSECUTIVE terms; SeriesNotConvergedError
     if that has not happened after SERIES_MAX_TERMS terms.
     """
-    if gamma <= 0 and gamma == int(gamma):
-        raise ValueError("gamma parameter is a nonpositive integer")
-    z = complex(z)
-    if z == 1:
-        if gamma - alpha - beta <= 0:
-            raise ValueError("Gauss sum at z = 1 needs gamma > alpha + beta")
-        return complex(
-            gamma_fn(gamma)
-            * gamma_fn(gamma - alpha - beta)
-            / (gamma_fn(gamma - alpha) * gamma_fn(gamma - beta))
-        )
-    if abs(z) >= 1:
-        raise ValueError("series diverges for |z| >= 1 (z != 1)")
     term = complex(1.0)
     total = complex(1.0)
     quiet = 0
@@ -113,6 +102,71 @@ def hyp2f1(alpha: float, beta: float, gamma: float, z: complex) -> complex:
     raise SeriesNotConvergedError(
         f"hypergeometric series did not converge in {SERIES_MAX_TERMS} terms"
     )
+
+
+def hyp2f1(alpha: float, beta: float, gamma: float, z: complex) -> complex:
+    """Gauss hypergeometric function F(alpha, beta; gamma; z).
+
+    For |z| < 1 it sums the series whose argument has the smallest
+    modulus among three representations (DLMF 15.8):
+    - z itself, the Maclaurin series;
+    - w = z/(z-1), Pfaff's transformation (15.8.1):
+      (1-z)^(-alpha) F(alpha, gamma-beta; gamma; w);
+    - 1 - z, the connection formula (15.8.4):
+      A F(alpha, beta; alpha+beta-gamma+1; 1-z) +
+      B (1-z)^(gamma-alpha-beta) F(gamma-alpha, gamma-beta;
+      gamma-alpha-beta+1; 1-z), with A, B from continuation_constants.
+      It is a candidate only when all its Gamma values are finite and
+      it keeps its digits: 1e-4 <= |gamma-alpha-beta| <= 0.99,
+      gamma <= 2, and none of alpha, beta, gamma-alpha, gamma-beta is a
+      nonpositive integer.
+    The 1 - 1/z form (15.8.5) is never a candidate: inside the disk
+    |1 - 1/z| = |1 - z|/|z| exceeds |1 - z|. The smallest modulus nears
+    1 only as z nears e^(+-i pi/3) on the circle, so a series runs out
+    of its term budget (SeriesNotConvergedError, see _series) only
+    close to those two points; for a triple that cannot take the
+    connection formula, close to the whole arc |1 - z| <= 1.
+
+    z = 1 uses the Gauss summation Gamma(gamma) Gamma(gamma-alpha-beta)
+    / (Gamma(gamma-alpha) Gamma(gamma-beta)), which needs
+    gamma - alpha - beta > 0.
+    """
+    if _is_pole(gamma):
+        raise ValueError("gamma parameter is a nonpositive integer")
+    z = complex(z)
+    if z == 1:
+        if gamma - alpha - beta <= 0:
+            raise ValueError("Gauss sum at z = 1 needs gamma > alpha + beta")
+        return complex(
+            gamma_fn(gamma)
+            * gamma_fn(gamma - alpha - beta)
+            / (gamma_fn(gamma - alpha) * gamma_fn(gamma - beta))
+        )
+    if abs(z) >= 1:
+        raise ValueError("series diverges for |z| >= 1 (z != 1)")
+    w = z / (z - 1)
+    c = gamma - alpha - beta
+    # 15.8.4 adds two terms that cancel, with A and B growing like 1/|c|:
+    # against mpmath its relative error reads about 2e-15/|c|. Its series
+    # have third parameters 1 -+ c, which reach a pole at |c| = 1 (0.6 at
+    # F(0.25, 0.25; 1.5 + 1e-9; 0.9)), and terms of size about
+    # n^(gamma-2) |1-z|^n, which grow before they decay for gamma > 2
+    # (1.2e-9 at F(3, 3; 6.5; 0.99 e^(-0.9i))).
+    if (
+        abs(1 - z) < min(abs(z), abs(w))
+        and 1e-4 <= abs(c) <= 0.99
+        and gamma <= 2
+        and not any(map(_is_pole, (alpha, beta, gamma - alpha, gamma - beta)))
+    ):
+        coeff_a, coeff_b = continuation_constants(alpha, beta, gamma)
+        return coeff_a * _series(
+            alpha, beta, alpha + beta - gamma + 1, 1 - z
+        ) + coeff_b * (1 - z) ** c * _series(
+            gamma - alpha, gamma - beta, c + 1, 1 - z
+        )
+    if abs(w) < abs(z):
+        return (1 - z) ** -alpha * _series(alpha, gamma - beta, gamma, w)
+    return _series(alpha, beta, gamma, z)
 
 
 class HdeParams(NamedTuple):
@@ -166,7 +220,9 @@ def continuation_residuals(
 ) -> list[float]:
     """continuation_residual at each point of zs, for one parameter
     triple: A and B are computed once. Every point is checked before
-    any Gamma value is evaluated.
+    any Gamma value is evaluated. Both sides sum the plain series, so
+    for z > 1/2 the check never compares the 1 - z formula that hyp2f1
+    uses there with itself.
     """
     c = gamma - alpha - beta
     if c == int(c):
@@ -178,13 +234,13 @@ def continuation_residuals(
     coeff_a, coeff_b = continuation_constants(alpha, beta, gamma)
     out = []
     for z in zs:
-        rhs = coeff_a * hyp2f1(alpha, beta, alpha + beta - gamma + 1, 1 - z)
+        rhs = coeff_a * _series(alpha, beta, alpha + beta - gamma + 1, 1 - z)
         rhs += (
             coeff_b
             * (1 - z) ** c
-            * hyp2f1(gamma - alpha, gamma - beta, c + 1, 1 - z)
+            * _series(gamma - alpha, gamma - beta, c + 1, 1 - z)
         )
-        out.append(abs(hyp2f1(alpha, beta, gamma, z) - rhs))
+        out.append(abs(_series(alpha, beta, gamma, z) - rhs))
     return out
 
 

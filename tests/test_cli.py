@@ -247,8 +247,12 @@ def test_verify_passes_and_prints_one_line_per_check(capsys):
 def test_verify_evaluates_the_continuation_constants_once_per_sweep(monkeypatch):
     # 8 per connection map (g = 2..5), 4 per Gauss sum at z = 1 (five of
     # them), and 7 per continuation_constants (Gamma(gamma) once): one
-    # call for the Gauss-summation limit and one for the whole 20-point
-    # sweep
+    # call for the Gauss-summation limit, one for the whole 20-point
+    # sweep, and one per hyp2f1 call that takes the 1 - z connection.
+    # 9 of the 50 hypergeometric_properties points lie nearer to 1 than
+    # to 0 and to z/(z-1); at each, 4 of the 6 hyp2f1 calls connect: the
+    # reduction F(alpha, beta; beta; z) has Gamma(0), and the contiguous
+    # F(alpha, beta; gamma + 1; z) has gamma + 1 - alpha - beta = 1.2 > 0.99
     calls = []
     gamma_fn = whittaker.gamma_fn
 
@@ -258,7 +262,7 @@ def test_verify_evaluates_the_continuation_constants_once_per_sweep(monkeypatch)
 
     monkeypatch.setattr(whittaker, "gamma_fn", counting)
     assert cli.run_verify()[0] == 0
-    assert len(calls) == 4 * 8 + 5 * 4 + 2 * 7
+    assert len(calls) == 4 * 8 + 5 * 4 + 2 * 7 + 9 * 4 * 7
 
 
 def count_geodesic_solves(monkeypatch) -> list:
@@ -297,13 +301,11 @@ def test_generators_reads_each_apex_from_its_side(monkeypatch):
 def test_verify_reads_each_apex_from_its_side(monkeypatch):
     calls = count_geodesic_solves(monkeypatch)
     assert checks.run_checks()[0]
-    # the genus-2 example's 5 root sides, the 2g+1 root sides of each
-    # boundary group for g = 1..6 and both signs, and fundamental_polygon's
-    # 1 + 4g solves for g = 1..6; the geometry checks read the boundary
-    # groups' sides
-    assert len(calls) == 5 + sum(
-        2 * (2 * g + 1) + 1 + 4 * g for g in range(1, 7)
-    )
+    # the 2g+1 root sides of each boundary group for g = 1..6 and both
+    # signs (the genus-2 example is the g = 2, sign -1 group, built once),
+    # and fundamental_polygon's 1 + 4g solves for g = 1..6; the geometry
+    # checks read the boundary groups' sides
+    assert len(calls) == sum(2 * (2 * g + 1) + 1 + 4 * g for g in range(1, 7))
 
 
 def test_verify_perturbation_hook_forces_failure(capsys):

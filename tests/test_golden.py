@@ -28,11 +28,11 @@ GOLDEN_STDOUT = {
     ("whittaker", "--genus", "80"): (
         "deb1bbed091af9f2d24349e937102db292fad119ccfbae5fd479ca975c9cd1a2", 0),
     ("verify",): (
-        "61bb08587e19afc190a8d1a266cc47c307d9e404437a8bd182d8515c772c9ec6", 0),
+        "da66db56d2b6eec34771528029de3b42dcc124df0d5aad083981616512f0dd8e", 0),
     ("verify", "--perturb", "1e-2"): (
-        "e6b22b10592cb96da13ff6b255c697d52fa0c625579dba79ae58cb85c9e4cc73", 1),
+        "decd8f712c1cf3ba99bc784ecf715f3e371ee01a0b225acd108483d247f61f63", 1),
     ("verify", "--perturb", "0.5"): (
-        "22c82f6c8e0dcf6b783efd8140e312df759ea6f8faeecf6100632d854a461707", 1),
+        "84ea5a410a5670eca62d99df6dbb76a83cf4172f4d68a9a3f7749487ff8c00d8", 1),
     ("genus", "5", "7"): (
         "5f9ae88ae06cf2167140d81ab5ea2d0b2077ddf022c8ab13b7a6703941338339", 0),
     ("tessellation", "--degree", "9", "--genus", "4"): (

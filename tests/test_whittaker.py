@@ -1,13 +1,14 @@
 """Tests for the hypergeometric machinery and closed-form generators.
 
-scipy and math.gamma serve as independent oracles here; the library
-itself never imports them.
+scipy, mpmath and math.gamma serve as independent oracles here; the
+library itself never imports them.
 """
 
 import cmath
 import math
 import random
 
+import mpmath
 import pytest
 import scipy.special
 
@@ -133,6 +134,116 @@ def test_hyp2f1_polynomial_when_alpha_is_negative_integer():
         assert abs(hyp2f1(-2, b, c, z) - want) < 1e-14
 
 
+# radii where hyp2f1 routes through a transformation, and angles around
+# the circle including the hard points e^(+-i pi/3)
+DISK_RADII = (0.6, 0.95, 0.999)
+DISK_ANGLES = [2 * math.pi * k / 12 for k in range(12)] + [
+    math.pi / 3,
+    -math.pi / 3,
+]
+
+
+def disk_points():
+    for r in DISK_RADII:
+        for theta in DISK_ANGLES:
+            yield r * cmath.exp(1j * theta)
+
+
+def test_hyp2f1_reduction_with_gamma_equal_to_beta_over_the_disk():
+    # gamma - beta = 0 is a Gamma pole of the 1 - z connection, so these
+    # never take it; none may raise ValueError (verify's reduction check)
+    for z in disk_points():
+        for a, b in ((0.2, 0.4), (0.7, 1.3), (-0.3, 0.45)):
+            want = (1 - z) ** (-a)
+            assert abs(hyp2f1(a, b, b, z) - want) <= 1e-12 * abs(want)
+
+
+def test_hyp2f1_terminating_series_over_the_disk():
+    for z in disk_points():
+        for b, c in ((0.7, 1.3), (0.4, 0.8)):
+            want = 1 - 2 * b * z / c + b * (b + 1) * z * z / (c * (c + 1))
+            assert abs(hyp2f1(-2, b, c, z) - want) <= 1e-13 * abs(want)
+            assert abs(hyp2f1(b, -2, c, z) - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize(
+    "a, b, c",
+    [
+        # integer gamma - alpha - beta: the connection constants are infinite
+        (0.25, 0.25, 1.5),
+        (0.5, 0.5, 1.0),
+        (0.3, 0.7, 3.0),
+        # gamma - alpha - beta near 1 or 0, or past 1, or gamma > 2: the
+        # connection formula would lose digits (relative errors 0.6 and
+        # 4.4e-11 at z = 0.9, 1.4e-8 at 0.5349+0.8331j, 1.2e-9 at
+        # 0.99 e^(-0.9i))
+        (0.25, 0.25, 1.5 + 1e-9),
+        (0.3, 0.45, 0.75 + 1e-6),
+        (1.26, 0.508, 6.668),
+        (3.0, 3.0, 6.5),
+    ],
+)
+def test_hyp2f1_triples_without_the_connection_formula_over_the_disk(a, b, c):
+    # hyp2f1 sums the plain or Pfaff series: a right value or a numerical
+    # failure, never a ValueError or a wrong value
+    extra = [0.9, 0.5349 + 0.8331j, 0.99 * cmath.exp(-0.9j)]
+    for z in [*disk_points(), *extra]:
+        try:
+            got = hyp2f1(a, b, c, z)
+        except SeriesNotConvergedError:
+            continue
+        with mpmath.workdps(25):
+            want = complex(mpmath.hyp2f1(a, b, c, z))
+        assert abs(got - want) <= 1e-11 * abs(want)
+
+
+@pytest.mark.parametrize(
+    "a, b, c",
+    # the genus-2 triple is (0.2, 0.4, 0.8)
+    [tuple(hde_params(g))[:3] for g in (2, 5, 41, 200, 1000)]
+    + [(0.3, 0.7, 1.1)],
+    ids=["g2", "g5", "g41", "g200", "g1000", "generic"],
+)
+def test_hyp2f1_matches_mpmath_over_the_disk(a, b, c):
+    with mpmath.workdps(25):
+        for r in (0.3, 0.6, 0.9, 0.99, 0.999):
+            for k in range(48):
+                z = r * cmath.exp(2j * math.pi * k / 48)
+                want = complex(mpmath.hyp2f1(a, b, c, z))
+                assert abs(hyp2f1(a, b, c, z) - want) <= 1e-11 * abs(want)
+
+
+def test_hyp2f1_fails_numerically_where_every_series_argument_is_near_one():
+    # at e^(i pi/3) |z| = |z/(z-1)| = |1-z| = 1: each series needs far
+    # more than SERIES_MAX_TERMS terms just inside the circle
+    z = (1 - 1e-5) * cmath.exp(1j * math.pi / 3)
+    for a, b, c in (hde_params(2)[:3], (0.3, 0.7, 1.1)):
+        with pytest.raises(SeriesNotConvergedError):
+            hyp2f1(a, b, c, z)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 2.0, math.pi, -2.0, -0.5])
+def test_hyp2f1_converges_just_inside_the_circle_away_from_the_hard_points(theta):
+    # the plain series would need millions of terms at |z| = 1 - 1e-5;
+    # near 1 the 1 - z connection and near -1 Pfaff's z/(z-1) are small
+    p = hde_params(5)
+    z = (1 - 1e-5) * cmath.exp(1j * theta)
+    with mpmath.workdps(25):
+        want = complex(mpmath.hyp2f1(p.alpha, p.beta, p.gamma, z))
+    assert abs(hyp2f1(p.alpha, p.beta, p.gamma, z) - want) <= 1e-11 * abs(want)
+
+
+@pytest.mark.parametrize("gap", [2e-4, 1e-4])
+def test_hyp2f1_former_term_budget_defects_converge(gap):
+    # the plain series ran out of terms at these genus-2 points; the
+    # 1 - z connection has argument modulus 0.96 there
+    p = hde_params(2)
+    z = (1 - gap) * cmath.exp(1j)
+    with mpmath.workdps(25):
+        want = complex(mpmath.hyp2f1(p.alpha, p.beta, p.gamma, z))
+    assert abs(hyp2f1(p.alpha, p.beta, p.gamma, z) - want) <= 1e-10 * abs(want)
+
+
 # --- parameter triple ----------------------------------------------------
 
 
@@ -162,6 +273,23 @@ def test_continuation_residual_is_tiny_on_both_sides():
     for _ in range(20):
         z = rng.uniform(0.1, 0.9)
         assert continuation_residual(0.2, 0.4, 0.8, z) < 1e-10
+
+
+def test_continuation_residual_sees_a_bent_constant(monkeypatch):
+    # negative control: both sides sum the plain series, so a bend of A
+    # shows up in the residual; were F(z) itself evaluated through the
+    # 1 - z connection (as hyp2f1 does for z > 1/2) the bend would cancel
+    constants = whittaker.continuation_constants
+
+    def bent(alpha, beta, gamma):
+        coeff_a, coeff_b = constants(alpha, beta, gamma)
+        return coeff_a * (1 + 1e-6), coeff_b
+
+    monkeypatch.setattr(whittaker, "continuation_constants", bent)
+    p = hde_params(2)
+    zs = [0.2, 0.4, 0.6, 0.7, 0.8, 0.9]
+    for residual in whittaker.continuation_residuals(p.alpha, p.beta, p.gamma, zs):
+        assert residual > 1e-10
 
 
 def test_continuation_rejects_degenerate_and_out_of_range():
