@@ -257,10 +257,11 @@ def run_generators(g: int, sign: int, k: int = 1) -> dict:
 
 
 def run_whittaker(g: int) -> dict:
-    from .moebius import classify, compose, normalize, projective_distance
+    from .moebius import classify, compose, normalize
     from .whittaker import (
         connection_map,
         connection_map_from_gammas,
+        connection_residual,
         hde_params,
         monodromy_zero,
         sine_product_residual,
@@ -294,8 +295,6 @@ def run_whittaker(g: int) -> dict:
         }
         for j, prod in enumerate(whittaker_subgroup(normalized))
     ]
-    closed = connection_map(g)
-    built = connection_map_from_gammas(g)
     trig = trig_identity_residuals(g)
     mono = monodromy_zero(g)
     power = mono
@@ -313,11 +312,9 @@ def run_whittaker(g: int) -> dict:
         "generators": generators,
         "subgroup_products": products,
         "connection": {
-            "closed_form": _matrix(closed),
-            "from_gammas": _matrix(built),
-            "projective_residual": projective_distance(
-                normalize(closed), normalize(built)
-            ),
+            "closed_form": _matrix(connection_map(g)),
+            "from_gammas": _matrix(connection_map_from_gammas(g)),
+            "projective_residual": connection_residual(g),
         },
         "trig_identity_residuals": [trig[0], trig[1]],
         "sine_product_residual": sine_product_residual(g),

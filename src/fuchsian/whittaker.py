@@ -4,12 +4,13 @@ For a genus-g curve y^2 = z^(2g+1) + sign put a = 1/(2g+1). The quotient
 of two solutions of the uniformizing equation is governed by the Gauss
 hypergeometric function with parameters ((g-1)a, ga; 2ga). Transporting
 the local solution quotient from z = 0 to z = 1 is a Moebius map whose
-matrix is built from Gamma-function ratios; a closed trigonometric form
-of the same map exists, and the two must agree projectively. Looping
-around z = 0 multiplies the quotient by e^(2 pi i a). Out of these come
-a closed-form family of 2g+1 elliptic involutions generating the
-uniformizing group, and the 2g products of each later member with the
-first, generating the genus-g surface group.
+matrix is built from ratios of Gamma values (math.gamma, see gamma_fn);
+a closed trigonometric form of the same map exists, and the two must
+agree projectively (connection_residual). Looping around z = 0
+multiplies the quotient by e^(2 pi i a). Out of these come a closed-form
+family of 2g+1 elliptic involutions generating the uniformizing group,
+and the 2g products of each later member with the first, generating the
+genus-g surface group.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from . import NumericalError
-from .moebius import MoebiusMap, compose, normalize
+from .moebius import MoebiusMap, compose, normalize, projective_distance
 
 SERIES_TOL = 1e-16
 SERIES_CONSECUTIVE = 3
@@ -30,62 +31,27 @@ class SeriesNotConvergedError(NumericalError, ValueError):
     """The hypergeometric series ran out of its term budget."""
 
 
-# Lanczos coefficients, g = 7: relative error below 1e-13 on the tested
-# range once paired with the reflection formula for Re(x) < 1/2.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _gamma_complex(z: complex) -> complex:
-    if z.real < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        s = cmath.sin(cmath.pi * z)
-        if s == 0:
-            raise ValueError("gamma pole at a nonpositive integer")
-        return cmath.pi / (s * _gamma_complex(1.0 - z))
-    x = z - 1.0
-    acc = complex(_LANCZOS_COEFFS[0])
-    for i, coeff in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += coeff / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * cmath.exp(-t) * acc
-
-
 def _is_pole(x: float) -> bool:
     """Whether Gamma has a pole at x (a nonpositive integer)."""
     return x <= 0 and x == int(x)
 
 
-def gamma_fn(x: complex | float) -> complex | float:
-    """Gamma function via the fixed Lanczos approximation.
+def gamma_fn(x: float) -> float:
+    """Gamma function of a real argument: math.gamma behind a pole check.
 
-    Real input gives a real result; nonpositive integers raise (poles).
-    Negative non-integer arguments go through the reflection formula.
+    Nonpositive integers raise ValueError naming the pole.
     """
-    if isinstance(x, complex) and x.imag != 0:
-        return _gamma_complex(x)
-    xr = float(x.real) if isinstance(x, complex) else float(x)
-    if _is_pole(xr):
-        raise ValueError(f"gamma pole at nonpositive integer {int(xr)}")
-    return _gamma_complex(complex(xr)).real
+    if _is_pole(x):
+        raise ValueError(f"gamma pole at nonpositive integer {int(x)}")
+    return math.gamma(x)
 
 
 def _series(alpha: float, beta: float, gamma: float, z: complex) -> complex:
     """The Maclaurin series of F(alpha, beta; gamma; z), |z| < 1.
 
-    It stops when the term magnitude stays below SERIES_TOL times the
-    partial sum for SERIES_CONSECUTIVE terms; SeriesNotConvergedError
-    if that has not happened after SERIES_MAX_TERMS terms.
+    It stops at a term that is exactly 0, or once the term magnitude
+    stays below SERIES_TOL times the partial sum for SERIES_CONSECUTIVE
+    terms; SeriesNotConvergedError if neither happens in SERIES_MAX_TERMS.
     """
     term = complex(1.0)
     total = complex(1.0)
@@ -93,6 +59,9 @@ def _series(alpha: float, beta: float, gamma: float, z: complex) -> complex:
     for n in range(SERIES_MAX_TERMS):
         term *= (alpha + n) * (beta + n) / ((gamma + n) * (n + 1)) * z
         total += term
+        if term == 0:
+            # a terminating series: every later term is 0 as well
+            return total
         if abs(term) < SERIES_TOL * abs(total):
             quiet += 1
             if quiet >= SERIES_CONSECUTIVE:
@@ -112,10 +81,7 @@ def hyp2f1(alpha: float, beta: float, gamma: float, z: complex) -> complex:
     - z itself, the Maclaurin series;
     - w = z/(z-1), Pfaff's transformation (15.8.1):
       (1-z)^(-alpha) F(alpha, gamma-beta; gamma; w);
-    - 1 - z, the connection formula (15.8.4):
-      A F(alpha, beta; alpha+beta-gamma+1; 1-z) +
-      B (1-z)^(gamma-alpha-beta) F(gamma-alpha, gamma-beta;
-      gamma-alpha-beta+1; 1-z), with A, B from continuation_constants.
+    - 1 - z, the connection formula (15.8.4, see _connection_sum).
       It is a candidate only when all its Gamma values are finite and
       it keeps its digits: 1e-4 <= |gamma-alpha-beta| <= 0.99,
       gamma <= 2, and none of alpha, beta, gamma-alpha, gamma-beta is a
@@ -158,11 +124,8 @@ def hyp2f1(alpha: float, beta: float, gamma: float, z: complex) -> complex:
         and gamma <= 2
         and not any(map(_is_pole, (alpha, beta, gamma - alpha, gamma - beta)))
     ):
-        coeff_a, coeff_b = continuation_constants(alpha, beta, gamma)
-        return coeff_a * _series(
-            alpha, beta, alpha + beta - gamma + 1, 1 - z
-        ) + coeff_b * (1 - z) ** c * _series(
-            gamma - alpha, gamma - beta, c + 1, 1 - z
+        return _connection_sum(
+            alpha, beta, gamma, continuation_constants(alpha, beta, gamma), z
         )
     if abs(w) < abs(z):
         return (1 - z) ** -alpha * _series(alpha, gamma - beta, gamma, w)
@@ -201,16 +164,28 @@ def continuation_constants(
     return coeff_a, coeff_b
 
 
+def _connection_sum(
+    alpha: float, beta: float, gamma: float, constants: tuple[float, float], z: complex
+) -> complex:
+    """The continuation of F through the solutions at z = 1 (DLMF 15.8.4):
+    A F(alpha, beta; alpha+beta-gamma+1; 1-z) +
+    B (1-z)^c F(gamma-alpha, gamma-beta; c+1; 1-z), with c =
+    gamma-alpha-beta and (A, B) = constants from continuation_constants.
+    """
+    coeff_a, coeff_b = constants
+    c = gamma - alpha - beta
+    rhs = coeff_a * _series(alpha, beta, alpha + beta - gamma + 1, 1 - z)
+    return rhs + coeff_b * (1 - z) ** c * _series(
+        gamma - alpha, gamma - beta, c + 1, 1 - z
+    )
+
+
 def continuation_residual(
     alpha: float, beta: float, gamma: float, z: complex
 ) -> float:
-    """|F(z) - continuation of F through the solutions at z = 1|.
-
-    The continuation is A F(alpha, beta; alpha+beta-gamma+1; 1-z) +
-    B (1-z)^(gamma-alpha-beta) F(gamma-alpha, gamma-beta;
-    gamma-alpha-beta+1; 1-z) with A, B from continuation_constants.
-    Needs gamma - alpha - beta non-integer and both series in range
-    (|z| < 1 and |1 - z| < 1).
+    """|F(z) - continuation of F through the solutions at z = 1|, the
+    DLMF 15.8.4 sum of _connection_sum. Needs gamma - alpha - beta
+    non-integer and both series in range (|z| < 1 and |1 - z| < 1).
     """
     return continuation_residuals(alpha, beta, gamma, (z,))[0]
 
@@ -231,17 +206,14 @@ def continuation_residuals(
     for z in zs:
         if abs(z) >= 1 or abs(1 - z) >= 1:
             raise ValueError("z must satisfy |z| < 1 and |1 - z| < 1")
-    coeff_a, coeff_b = continuation_constants(alpha, beta, gamma)
-    out = []
-    for z in zs:
-        rhs = coeff_a * _series(alpha, beta, alpha + beta - gamma + 1, 1 - z)
-        rhs += (
-            coeff_b
-            * (1 - z) ** c
-            * _series(gamma - alpha, gamma - beta, c + 1, 1 - z)
+    constants = continuation_constants(alpha, beta, gamma)
+    return [
+        abs(
+            _series(alpha, beta, gamma, z)
+            - _connection_sum(alpha, beta, gamma, constants, z)
         )
-        out.append(abs(_series(alpha, beta, gamma, z) - rhs))
-    return out
+        for z in zs
+    ]
 
 
 def connection_map(g: int) -> MoebiusMap:
@@ -291,6 +263,14 @@ def connection_map_from_gammas(g: int) -> MoebiusMap:
     x3 = -g3 * g4 * two_i_sin
     x4 = g2 * g3 * phase - g1 * g4
     return MoebiusMap(x1, g4 * x2, x3 / g4, x4)
+
+
+def connection_residual(g: int) -> float:
+    """projective_distance between the normalized connection_map(g) and
+    connection_map_from_gammas(g): 0 up to rounding."""
+    return projective_distance(
+        normalize(connection_map(g)), normalize(connection_map_from_gammas(g))
+    )
 
 
 def monodromy_zero(g: int) -> MoebiusMap:

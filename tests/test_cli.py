@@ -123,6 +123,12 @@ def test_whittaker_payload():
     assert raw_det[0] == pytest.approx(-0.61803398875, abs=1e-9)
 
 
+@pytest.mark.parametrize("g", [2, 40, 80])
+def test_whittaker_projective_residual_is_the_connection_residual(g):
+    doc = cli.run_whittaker(g)
+    assert doc["connection"]["projective_residual"] == whittaker.connection_residual(g)
+
+
 def test_whittaker_payload_builds_each_generator_once(monkeypatch):
     raw_builds = []
     build = whittaker.whittaker_generator_raw

@@ -22,17 +22,17 @@ GOLDEN_STDOUT = {
     ("generators", "--genus", "41", "--sign", "minus", "--fixed", "83"): (
         "13754d4f46fe0f12e5fe48b4f1a39ffe81e43a413a16910629866009a310bfec", 0),
     ("whittaker", "--genus", "2"): (
-        "9120542141ce4654f174991c87e64914ea429e11de5dbb9790809c095a4268b2", 0),
+        "a06fdc8aa20977c126739596b4b42fc9025bc6eb8e74dff84cf50d96e6f2214b", 0),
     ("whittaker", "--genus", "40"): (
-        "23b729a586bf9c09b197ac469bf0f7b6ed0c94c1935a9049f20687ba76e855b8", 0),
+        "bb84a3e6b69e8bb0681948084fe4b93a4a035f55af9189e5cc138593a538b2d1", 0),
     ("whittaker", "--genus", "80"): (
-        "deb1bbed091af9f2d24349e937102db292fad119ccfbae5fd479ca975c9cd1a2", 0),
+        "f1d89b085a5c86d33f24fd04c16195225ea422258e4f4b76917ab9026dceccdf", 0),
     ("verify",): (
-        "da66db56d2b6eec34771528029de3b42dcc124df0d5aad083981616512f0dd8e", 0),
+        "55a08d487f4c6e4f3595376b7dac2e47a63420ab4799ce8c8ee08523c5b885de", 0),
     ("verify", "--perturb", "1e-2"): (
-        "decd8f712c1cf3ba99bc784ecf715f3e371ee01a0b225acd108483d247f61f63", 1),
+        "ecddaa808729d8ac9a4a44714cf709b6d5aeb3c807c12a49ac7a37a002e323ce", 1),
     ("verify", "--perturb", "0.5"): (
-        "84ea5a410a5670eca62d99df6dbb76a83cf4172f4d68a9a3f7749487ff8c00d8", 1),
+        "ac5a367d548649403e036416eb000d9e66c19bc42bf6a3d11ed4d5a8bb581997", 1),
     ("genus", "5", "7"): (
         "5f9ae88ae06cf2167140d81ab5ea2d0b2077ddf022c8ab13b7a6703941338339", 0),
     ("tessellation", "--degree", "9", "--genus", "4"): (

@@ -1,7 +1,8 @@
 """Tests for the hypergeometric machinery and closed-form generators.
 
-scipy, mpmath and math.gamma serve as independent oracles here; the
-library itself never imports them.
+scipy and mpmath serve as independent oracles here; the library itself
+never imports them. gamma_fn is math.gamma behind a pole check, so its
+values are checked against mpmath.
 """
 
 import cmath
@@ -13,7 +14,7 @@ import pytest
 import scipy.special
 
 from fuchsian import NumericalError, whittaker
-from fuchsian.moebius import MapClass, classify, compose, normalize, projective_distance
+from fuchsian.moebius import MapClass, classify, compose, normalize
 from fuchsian.whittaker import (
     SeriesNotConvergedError,
     connection_map,
@@ -34,26 +35,17 @@ from fuchsian.whittaker import (
 
 
 def test_gamma_matches_stdlib_on_reals():
+    # the stdlib Gamma behind gamma_fn, against a 40-digit mpmath value
     rng = random.Random(41)
     for _ in range(200):
         x = rng.uniform(-20, 20)
         if abs(x - round(x)) < 1e-3:
             continue
-        want = math.gamma(x)
+        with mpmath.workdps(40):
+            want = float(mpmath.gamma(x))
         got = gamma_fn(x)
         assert isinstance(got, float)
         assert abs(got - want) <= 1e-12 * abs(want)
-
-
-def test_gamma_matches_scipy_on_complex():
-    rng = random.Random(42)
-    for _ in range(100):
-        z = complex(rng.uniform(-8, 8), rng.uniform(-8, 8))
-        if abs(z.imag) < 1e-6:
-            continue
-        want = complex(scipy.special.gamma(z))
-        got = gamma_fn(z)
-        assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_gamma_integer_values():
@@ -149,6 +141,11 @@ def test_hyp2f1_polynomial_when_alpha_is_negative_integer():
             want = 1 - 2 * b * z / c + b * (b + 1) * z * z / (c * (c + 1))
             assert abs(hyp2f1(-2, b, c, z) - want) < 1e-14
             assert abs(hyp2f1(b, -2, c, z) - want) < 1e-14
+    # roots, where the terms sum to exactly 0: the series stops at its
+    # first zero term instead of running out of its term budget
+    for alpha, b, c, z in ((-1, 2, 1, 0.5), (-2, 3, 2, 0.5)):
+        assert hyp2f1(alpha, b, c, z) == 0
+        assert hyp2f1(b, alpha, c, z) == 0
 
 
 def test_hyp2f1_reduction_with_gamma_equal_to_beta_over_the_disk():
@@ -313,11 +310,9 @@ def test_connection_map_frozen_entries_genus_two():
 
 
 def test_connection_map_two_constructions_agree_projectively():
-    for g in range(2, 6):
-        d = projective_distance(
-            normalize(connection_map(g)), normalize(connection_map_from_gammas(g))
-        )
-        assert d < 1e-8
+    # verify checks g = 2..5; the benchmark checks the maps up to g = 80
+    for g in range(2, 81):
+        assert whittaker.connection_residual(g) < 1e-8
 
 
 def test_connection_map_from_gammas_evaluates_each_gamma_once(monkeypatch):
