@@ -34,6 +34,8 @@ from .moebius import (
 )
 from .tessellation import cycle_count, euler_characteristic, tessellation_for_degree
 from .whittaker import (
+    connection_map,
+    connection_map_from_gammas,
     connection_residual,
     continuation_constants,
     continuation_residuals,
@@ -190,7 +192,10 @@ def run_checks(perturb: float = 0.0) -> tuple[bool, str]:
     for g in range(2, 9):
         trig_res = max(trig_res, *trig_identity_residuals(g), sine_product_residual(g))
     add("trig_identities", trig_res <= 1e-12, f"g=2..8 max residual={trig_res:.3e}")
-    conn_res = max(connection_residual(g) for g in range(2, 6))
+    conn_res = max(
+        connection_residual(connection_map(g), connection_map_from_gammas(g))
+        for g in range(2, 6)
+    )
     add(
         "connection_projective",
         conn_res <= 1e-8,

@@ -296,6 +296,8 @@ def run_whittaker(g: int) -> dict:
         for j, prod in enumerate(whittaker_subgroup(normalized))
     ]
     trig = trig_identity_residuals(g)
+    closed_form = connection_map(g)
+    from_gammas = connection_map_from_gammas(g)
     mono = monodromy_zero(g)
     power = mono
     for _ in range(2 * g):
@@ -312,9 +314,9 @@ def run_whittaker(g: int) -> dict:
         "generators": generators,
         "subgroup_products": products,
         "connection": {
-            "closed_form": _matrix(connection_map(g)),
-            "from_gammas": _matrix(connection_map_from_gammas(g)),
-            "projective_residual": connection_residual(g),
+            "closed_form": _matrix(closed_form),
+            "from_gammas": _matrix(from_gammas),
+            "projective_residual": connection_residual(closed_form, from_gammas),
         },
         "trig_identity_residuals": [trig[0], trig[1]],
         "sine_product_residual": sine_product_residual(g),

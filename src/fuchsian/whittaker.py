@@ -25,6 +25,10 @@ from .moebius import MoebiusMap, compose, normalize, projective_distance
 SERIES_TOL = 1e-16
 SERIES_CONSECUTIVE = 3
 SERIES_MAX_TERMS = 100000
+# hyp2f1 sums the Taylor series about (1 +- i)/2 where the smallest of
+# |z|, |z/(z-1)| and |1-z| exceeds this: near e^(+-i pi/3) each is close
+# to 1 and its series would need up to the whole term budget
+TAYLOR_MIN_MODULUS = 0.88
 
 
 class SeriesNotConvergedError(NumericalError, ValueError):
@@ -46,31 +50,98 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
-def _series(alpha: float, beta: float, gamma: float, z: complex) -> complex:
+def _series(
+    alpha: float,
+    beta: float,
+    gamma: float,
+    z: complex,
+    name: str = "Maclaurin series in z",
+) -> complex:
     """The Maclaurin series of F(alpha, beta; gamma; z), |z| < 1.
 
-    It stops at a term that is exactly 0, or once the term magnitude
-    stays below SERIES_TOL times the partial sum for SERIES_CONSECUTIVE
-    terms; SeriesNotConvergedError if neither happens in SERIES_MAX_TERMS.
+    A real z (zero imaginary part) is summed in float arithmetic, which
+    gives the same real part as complex arithmetic. It stops at a term
+    that is exactly 0, or once the term magnitude stays below SERIES_TOL
+    times the partial sum for SERIES_CONSECUTIVE terms;
+    SeriesNotConvergedError, naming the sum and |z|, if neither happens
+    in SERIES_MAX_TERMS.
     """
-    term = complex(1.0)
-    total = complex(1.0)
+    if z.imag == 0:
+        z = z.real
+        term = total = 1.0
+    else:
+        term = total = complex(1.0)
     quiet = 0
-    for n in range(SERIES_MAX_TERMS):
-        term *= (alpha + n) * (beta + n) / ((gamma + n) * (n + 1)) * z
+    n = 0.0
+    for _ in range(SERIES_MAX_TERMS):
+        term *= (alpha + n) * (beta + n) / ((gamma + n) * (n + 1.0)) * z
         total += term
         if term == 0:
             # a terminating series: every later term is 0 as well
-            return total
+            return complex(total)
+        if abs(term) < SERIES_TOL * abs(total):
+            quiet += 1
+            if quiet >= SERIES_CONSECUTIVE:
+                return complex(total)
+        else:
+            quiet = 0
+        n += 1.0
+    raise _not_converged(name, abs(z))
+
+
+def _not_converged(name: str, modulus: float) -> SeriesNotConvergedError:
+    """The error for the sum `name`, with its argument modulus."""
+    return SeriesNotConvergedError(
+        f"hypergeometric {name} (argument modulus {modulus:.9g}) did not"
+        f" converge in {SERIES_MAX_TERMS} terms"
+    )
+
+
+def _taylor_sum(alpha: float, beta: float, gamma: float, z: complex) -> complex:
+    """The Taylor series of F(alpha, beta; gamma; z) about z0 = (1 +- i)/2,
+    with the sign of Im z (DLMF 15.10.1 re-expanded about z0).
+
+    With t = z - z0 and u_k = c_k t^k, the hypergeometric equation gives
+    u_(k+2) = [(k+alpha)(k+beta) t^2 u_k
+               - ((1-2 z0) k + gamma - (alpha+beta+1) z0)(k+1) t u_(k+1)]
+              / (z0 (1-z0) (k+1)(k+2)),
+    seeded by u_0 = F(z0) and u_1 = t (alpha beta/gamma) F(alpha+1,
+    beta+1; gamma+1; z0), both Maclaurin series at |z0| = 1/sqrt 2. The
+    series converges for |t| < 1/sqrt 2, the distance from z0 to 0 and
+    to 1; at the points TAYLOR_MIN_MODULUS routes here |t| is at most
+    about 0.46. It stops as _series does.
+    """
+    z0 = complex(0.5, 0.5 if z.imag >= 0 else -0.5)
+    name = f"Taylor series about z0 = {z0}"
+    seed = name + ", seed series in z0"
+    t = z - z0
+    prev = _series(alpha, beta, gamma, z0, seed)
+    term = t * (alpha * beta / gamma) * _series(
+        alpha + 1, beta + 1, gamma + 1, z0, seed
+    )
+    total = prev + term
+    # z0 (1 - z0) = 1/2, so dividing by it is a factor 2, and k + 1
+    # cancels from the second term
+    one_minus_2z0 = 1 - 2 * z0
+    shift = gamma - (alpha + beta + 1) * z0
+    t2 = 2 * t * t
+    t1 = 2 * t
+    quiet = 0
+    k = 0.0
+    for _ in range(SERIES_MAX_TERMS):
+        prev, term = term, (
+            (k + alpha) * (k + beta) / ((k + 1.0) * (k + 2.0)) * t2 * prev
+            - (one_minus_2z0 * k + shift) / (k + 2.0) * t1 * term
+        )
+        total += term
         if abs(term) < SERIES_TOL * abs(total):
             quiet += 1
             if quiet >= SERIES_CONSECUTIVE:
                 return total
         else:
             quiet = 0
-    raise SeriesNotConvergedError(
-        f"hypergeometric series did not converge in {SERIES_MAX_TERMS} terms"
-    )
+        k += 1.0
+    raise _not_converged(name + " in z - z0", abs(t))
 
 
 def hyp2f1(alpha: float, beta: float, gamma: float, z: complex) -> complex:
@@ -87,11 +158,16 @@ def hyp2f1(alpha: float, beta: float, gamma: float, z: complex) -> complex:
       gamma <= 2, and none of alpha, beta, gamma-alpha, gamma-beta is a
       nonpositive integer.
     The 1 - 1/z form (15.8.5) is never a candidate: inside the disk
-    |1 - 1/z| = |1 - z|/|z| exceeds |1 - z|. The smallest modulus nears
-    1 only as z nears e^(+-i pi/3) on the circle, so a series runs out
-    of its term budget (SeriesNotConvergedError, see _series) only
-    close to those two points; for a triple that cannot take the
-    connection formula, close to the whole arc |1 - z| <= 1.
+    |1 - 1/z| = |1 - z|/|z| exceeds |1 - z|. The smallest of |z|, |w|
+    and |1 - z| nears 1 only as z nears e^(+-i pi/3) on the circle.
+    Where it exceeds TAYLOR_MIN_MODULUS, hyp2f1 sums instead the Taylor
+    series about (1 +- i)/2 (_taylor_sum): there it needs at most about
+    75 terms after two seed series of about 100 terms each, so the term
+    budget is not reached near those two points. A triple that cannot
+    take the connection formula still runs out of its term budget
+    (SeriesNotConvergedError, naming the sum and its argument modulus)
+    close to the arc |1 - z| <= 1 near z = 1, where it sums the
+    Maclaurin series with |z| near 1.
 
     z = 1 uses the Gauss summation Gamma(gamma) Gamma(gamma-alpha-beta)
     / (Gamma(gamma-alpha) Gamma(gamma-beta)), which needs
@@ -118,8 +194,11 @@ def hyp2f1(alpha: float, beta: float, gamma: float, z: complex) -> complex:
     # F(0.25, 0.25; 1.5 + 1e-9; 0.9)), and terms of size about
     # n^(gamma-2) |1-z|^n, which grow before they decay for gamma > 2
     # (1.2e-9 at F(3, 3; 6.5; 0.99 e^(-0.9i))).
+    mod_z, mod_w, mod_1z = abs(z), abs(w), abs(1 - z)
+    if min(mod_z, mod_w, mod_1z) > TAYLOR_MIN_MODULUS:
+        return _taylor_sum(alpha, beta, gamma, z)
     if (
-        abs(1 - z) < min(abs(z), abs(w))
+        mod_1z < min(mod_z, mod_w)
         and 1e-4 <= abs(c) <= 0.99
         and gamma <= 2
         and not any(map(_is_pole, (alpha, beta, gamma - alpha, gamma - beta)))
@@ -127,8 +206,10 @@ def hyp2f1(alpha: float, beta: float, gamma: float, z: complex) -> complex:
         return _connection_sum(
             alpha, beta, gamma, continuation_constants(alpha, beta, gamma), z
         )
-    if abs(w) < abs(z):
-        return (1 - z) ** -alpha * _series(alpha, gamma - beta, gamma, w)
+    if mod_w < mod_z:
+        return (1 - z) ** -alpha * _series(
+            alpha, gamma - beta, gamma, w, "Pfaff series in z/(z-1)"
+        )
     return _series(alpha, beta, gamma, z)
 
 
@@ -174,9 +255,10 @@ def _connection_sum(
     """
     coeff_a, coeff_b = constants
     c = gamma - alpha - beta
-    rhs = coeff_a * _series(alpha, beta, alpha + beta - gamma + 1, 1 - z)
+    name = "DLMF 15.8.4 sum in 1-z"
+    rhs = coeff_a * _series(alpha, beta, alpha + beta - gamma + 1, 1 - z, name)
     return rhs + coeff_b * (1 - z) ** c * _series(
-        gamma - alpha, gamma - beta, c + 1, 1 - z
+        gamma - alpha, gamma - beta, c + 1, 1 - z, name
     )
 
 
@@ -265,12 +347,10 @@ def connection_map_from_gammas(g: int) -> MoebiusMap:
     return MoebiusMap(x1, g4 * x2, x3 / g4, x4)
 
 
-def connection_residual(g: int) -> float:
+def connection_residual(closed_form: MoebiusMap, from_gammas: MoebiusMap) -> float:
     """projective_distance between the normalized connection_map(g) and
-    connection_map_from_gammas(g): 0 up to rounding."""
-    return projective_distance(
-        normalize(connection_map(g)), normalize(connection_map_from_gammas(g))
-    )
+    connection_map_from_gammas(g), passed in as built: 0 up to rounding."""
+    return projective_distance(normalize(closed_form), normalize(from_gammas))
 
 
 def monodromy_zero(g: int) -> MoebiusMap:

@@ -126,7 +126,24 @@ def test_whittaker_payload():
 @pytest.mark.parametrize("g", [2, 40, 80])
 def test_whittaker_projective_residual_is_the_connection_residual(g):
     doc = cli.run_whittaker(g)
-    assert doc["connection"]["projective_residual"] == whittaker.connection_residual(g)
+    assert doc["connection"]["projective_residual"] == whittaker.connection_residual(
+        whittaker.connection_map(g), whittaker.connection_map_from_gammas(g)
+    )
+
+
+def test_whittaker_payload_builds_each_connection_map_once(monkeypatch):
+    # connection_map_from_gammas(5) takes 8 Gamma values; the residual
+    # reuses the two maps of the payload instead of building them again
+    calls = []
+    gamma_fn = whittaker.gamma_fn
+
+    def counting(x):
+        calls.append(x)
+        return gamma_fn(x)
+
+    monkeypatch.setattr(whittaker, "gamma_fn", counting)
+    cli.run_whittaker(5)
+    assert len(calls) == 8
 
 
 def test_whittaker_payload_builds_each_generator_once(monkeypatch):

@@ -107,23 +107,54 @@ def test_hyp2f1_domain_errors():
         hyp2f1(0.2, 0.4, -2.0, 0.3)  # nonpositive-integer gamma
 
 
+HARD_POINT = (1 - 1e-5) * cmath.exp(1j * math.pi / 3)
+
+
 def test_hyp2f1_term_budget_exhaustion_is_numerical(monkeypatch):
     # running out of terms is a numerical breakdown, not bad input; a
     # domain error stays a plain ValueError
     monkeypatch.setattr(whittaker, "SERIES_MAX_TERMS", 5)
-    with pytest.raises(SeriesNotConvergedError, match="in 5 terms"):
-        hyp2f1(0.2, 0.4, 0.8, 0.5)
+    for z in (0.5, HARD_POINT):
+        with pytest.raises(SeriesNotConvergedError, match="in 5 terms"):
+            hyp2f1(0.2, 0.4, 0.8, z)
     with pytest.raises(ValueError) as domain:
         hyp2f1(0.2, 0.4, 0.8, 1.5)
     assert not isinstance(domain.value, NumericalError)
+    # the seed series of F(-2, 0.7; 1.3; z) at z0 terminate within 3
+    # terms, so with a budget of 3 it is the Taylor loop that runs out
+    monkeypatch.setattr(whittaker, "SERIES_MAX_TERMS", 3)
+    with pytest.raises(SeriesNotConvergedError, match=r"in z - z0 .* in 3 terms"):
+        hyp2f1(-2, 0.7, 1.3, HARD_POINT)
+
+
+@pytest.mark.parametrize(
+    "z, sum_name, modulus",
+    [
+        (0.5, "Maclaurin series in z", "0.5"),
+        (-0.9, "Pfaff series in z/(z-1)", "0.473684211"),
+        (0.9, "DLMF 15.8.4 sum in 1-z", "0.1"),
+        (HARD_POINT, "Taylor series about z0 = (0.5+0.5j), seed", "0.707106781"),
+        (HARD_POINT.conjugate(), "Taylor series about z0 = (0.5-0.5j)", "0.707106781"),
+    ],
+    ids=["maclaurin", "pfaff", "connection", "taylor-upper", "taylor-lower"],
+)
+def test_hyp2f1_term_budget_error_names_the_sum_and_its_modulus(
+    monkeypatch, z, sum_name, modulus
+):
+    monkeypatch.setattr(whittaker, "SERIES_MAX_TERMS", 5)
+    with pytest.raises(SeriesNotConvergedError) as failure:
+        hyp2f1(0.2, 0.4, 0.8, z)
+    message = str(failure.value)
+    assert sum_name in message
+    assert f"(argument modulus {modulus})" in message
 
 
 # radii where hyp2f1 routes through a transformation, and angles around
-# the circle including the hard points e^(+-i pi/3)
-DISK_RADII = (0.6, 0.95, 0.999)
+# the circle including the hard points e^(+-i pi/3) and angles near them,
+# where the outer radii take the Taylor series about (1 +- i)/2
+DISK_RADII = (0.6, 0.95, 0.999, 1 - 1e-5)
 DISK_ANGLES = [2 * math.pi * k / 12 for k in range(12)] + [
-    math.pi / 3,
-    -math.pi / 3,
+    s * math.pi / 3 + d for s in (1, -1) for d in (0.0, -0.15, -0.05, 0.05, 0.15)
 ]
 
 
@@ -151,10 +182,19 @@ def test_hyp2f1_polynomial_when_alpha_is_negative_integer():
 def test_hyp2f1_reduction_with_gamma_equal_to_beta_over_the_disk():
     # gamma - beta = 0 is a Gamma pole of the 1 - z connection, so these
     # never take it; none may raise ValueError (verify's reduction check)
+    # for |z| <= 0.999. Just inside the circle they still run out of
+    # terms where 1 - z is the smallest argument, near z = 1 (there is no
+    # re-expansion about z = 1), and nowhere else
     for z in disk_points():
         for a, b in ((0.2, 0.4), (0.7, 1.3), (-0.3, 0.45)):
             want = (1 - z) ** (-a)
-            assert abs(hyp2f1(a, b, b, z) - want) <= 1e-12 * abs(want)
+            try:
+                got = hyp2f1(a, b, b, z)
+            except SeriesNotConvergedError:
+                assert abs(z) > 0.999
+                assert abs(1 - z) < min(abs(z), abs(z / (z - 1)))
+                continue
+            assert abs(got - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize(
@@ -204,13 +244,17 @@ def test_hyp2f1_matches_mpmath_over_the_disk(a, b, c):
                 assert abs(hyp2f1(a, b, c, z) - want) <= 1e-11 * abs(want)
 
 
-def test_hyp2f1_fails_numerically_where_every_series_argument_is_near_one():
-    # at e^(i pi/3) |z| = |z/(z-1)| = |1-z| = 1: each series needs far
-    # more than SERIES_MAX_TERMS terms just inside the circle
-    z = (1 - 1e-5) * cmath.exp(1j * math.pi / 3)
+@pytest.mark.parametrize("eps", [1e-5, 1e-12])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_hyp2f1_matches_mpmath_where_every_series_argument_is_near_one(sign, eps):
+    # at e^(+-i pi/3) |z| = |z/(z-1)| = |1-z| = 1, so each of those
+    # series would need far more than SERIES_MAX_TERMS terms just inside
+    # the circle; the Taylor series about (1 +- i)/2 converges there
+    z = (1 - eps) * cmath.exp(sign * 1j * math.pi / 3)
     for a, b, c in (hde_params(2)[:3], (0.3, 0.7, 1.1)):
-        with pytest.raises(SeriesNotConvergedError):
-            hyp2f1(a, b, c, z)
+        with mpmath.workdps(25):
+            want = complex(mpmath.hyp2f1(a, b, c, z))
+        assert abs(hyp2f1(a, b, c, z) - want) <= 1e-11 * abs(want)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 2.0, math.pi, -2.0, -0.5])
@@ -312,7 +356,8 @@ def test_connection_map_frozen_entries_genus_two():
 def test_connection_map_two_constructions_agree_projectively():
     # verify checks g = 2..5; the benchmark checks the maps up to g = 80
     for g in range(2, 81):
-        assert whittaker.connection_residual(g) < 1e-8
+        closed_form, from_gammas = connection_map(g), connection_map_from_gammas(g)
+        assert whittaker.connection_residual(closed_form, from_gammas) < 1e-8
 
 
 def test_connection_map_from_gammas_evaluates_each_gamma_once(monkeypatch):
