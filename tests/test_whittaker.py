@@ -111,12 +111,21 @@ HARD_POINT = (1 - 1e-5) * cmath.exp(1j * math.pi / 3)
 
 
 def test_hyp2f1_term_budget_exhaustion_is_numerical(monkeypatch):
-    # running out of terms is a numerical breakdown, not bad input; a
+    # running out of terms is a numerical breakdown, not bad input, and
+    # the error names the sum that ran out and its argument modulus; a
     # domain error stays a plain ValueError
     monkeypatch.setattr(whittaker, "SERIES_MAX_TERMS", 5)
-    for z in (0.5, HARD_POINT):
-        with pytest.raises(SeriesNotConvergedError, match="in 5 terms"):
+    for z, sum_name, modulus in (
+        (0.5, "Maclaurin series in z", "0.5"),
+        (-0.9, "Pfaff series in z/(z-1)", "0.473684211"),
+        (0.9, "DLMF 15.8.4 sum in 1-z", "0.1"),
+        (HARD_POINT, "Taylor series about z0 = (0.5+0.5j), seed", "0.707106781"),
+        (HARD_POINT.conjugate(), "about z0 = (0.5-0.5j), seed", "0.707106781"),
+    ):
+        with pytest.raises(SeriesNotConvergedError, match="in 5 terms") as failure:
             hyp2f1(0.2, 0.4, 0.8, z)
+        assert sum_name in str(failure.value)
+        assert f"(argument modulus {modulus})" in str(failure.value)
     with pytest.raises(ValueError) as domain:
         hyp2f1(0.2, 0.4, 0.8, 1.5)
     assert not isinstance(domain.value, NumericalError)
@@ -125,28 +134,6 @@ def test_hyp2f1_term_budget_exhaustion_is_numerical(monkeypatch):
     monkeypatch.setattr(whittaker, "SERIES_MAX_TERMS", 3)
     with pytest.raises(SeriesNotConvergedError, match=r"in z - z0 .* in 3 terms"):
         hyp2f1(-2, 0.7, 1.3, HARD_POINT)
-
-
-@pytest.mark.parametrize(
-    "z, sum_name, modulus",
-    [
-        (0.5, "Maclaurin series in z", "0.5"),
-        (-0.9, "Pfaff series in z/(z-1)", "0.473684211"),
-        (0.9, "DLMF 15.8.4 sum in 1-z", "0.1"),
-        (HARD_POINT, "Taylor series about z0 = (0.5+0.5j), seed", "0.707106781"),
-        (HARD_POINT.conjugate(), "Taylor series about z0 = (0.5-0.5j)", "0.707106781"),
-    ],
-    ids=["maclaurin", "pfaff", "connection", "taylor-upper", "taylor-lower"],
-)
-def test_hyp2f1_term_budget_error_names_the_sum_and_its_modulus(
-    monkeypatch, z, sum_name, modulus
-):
-    monkeypatch.setattr(whittaker, "SERIES_MAX_TERMS", 5)
-    with pytest.raises(SeriesNotConvergedError) as failure:
-        hyp2f1(0.2, 0.4, 0.8, z)
-    message = str(failure.value)
-    assert sum_name in message
-    assert f"(argument modulus {modulus})" in message
 
 
 # radii where hyp2f1 routes through a transformation, and angles around
@@ -244,17 +231,17 @@ def test_hyp2f1_matches_mpmath_over_the_disk(a, b, c):
                 assert abs(hyp2f1(a, b, c, z) - want) <= 1e-11 * abs(want)
 
 
-@pytest.mark.parametrize("eps", [1e-5, 1e-12])
-@pytest.mark.parametrize("sign", [1, -1])
-def test_hyp2f1_matches_mpmath_where_every_series_argument_is_near_one(sign, eps):
+def test_hyp2f1_matches_mpmath_where_every_series_argument_is_near_one():
     # at e^(+-i pi/3) |z| = |z/(z-1)| = |1-z| = 1, so each of those
     # series would need far more than SERIES_MAX_TERMS terms just inside
     # the circle; the Taylor series about (1 +- i)/2 converges there
-    z = (1 - eps) * cmath.exp(sign * 1j * math.pi / 3)
-    for a, b, c in (hde_params(2)[:3], (0.3, 0.7, 1.1)):
-        with mpmath.workdps(25):
-            want = complex(mpmath.hyp2f1(a, b, c, z))
-        assert abs(hyp2f1(a, b, c, z) - want) <= 1e-11 * abs(want)
+    for eps in (1e-5, 1e-12):
+        for sign in (1, -1):
+            z = (1 - eps) * cmath.exp(sign * 1j * math.pi / 3)
+            for a, b, c in (hde_params(2)[:3], (0.3, 0.7, 1.1)):
+                with mpmath.workdps(25):
+                    want = complex(mpmath.hyp2f1(a, b, c, z))
+                assert abs(hyp2f1(a, b, c, z) - want) <= 1e-11 * abs(want)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 2.0, math.pi, -2.0, -0.5])
