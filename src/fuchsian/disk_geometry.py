@@ -53,6 +53,11 @@ class GeodesicArc(NamedTuple):
         return self.center * (1.0 - self.radius / abs(self.center))
 
 
+# builds an arc from all five fields in order, without the call through
+# GeodesicArc's keyword __new__
+_new_arc = tuple.__new__
+
+
 class HyperbolicPolygon(NamedTuple):
     """Vertex-ordered polygon; side i joins vertex i to vertex i+1."""
 
@@ -99,22 +104,26 @@ def geodesic_between(z1: complex, z2: complex) -> GeodesicArc:
     z1, z2 = complex(z1), complex(z2)
     if z1 == z2:
         raise ValueError("coincident points determine no geodesic")
-    for z in (z1, z2):
-        if abs(z) > 1 + IDEAL_TOL:
-            raise ValueError(f"point {z:.6g} lies outside the closed disk")
-    # z1, z2, 0 collinear exactly when Im(conj(z1) z2) = 0
-    if abs((z1.conjugate() * z2).imag) <= COLLINEAR_TOL:
-        u = (z2 - z1) / abs(z2 - z1)
-        if u.real < 0 or (u.real == 0 and u.imag < 0):
-            u = -u
-        return GeodesicArc("diameter", (z1, z2), direction=u)
-    # orthogonality |C|^2 = R^2 + 1 plus incidence |z_i - C| = R reduce to
-    # the linear system 2 Re(conj(C) z_i) = |z_i|^2 + 1
+    m1 = abs(z1)
+    if m1 > 1 + IDEAL_TOL:
+        raise ValueError(f"point {z1:.6g} lies outside the closed disk")
+    m2 = abs(z2)
+    if m2 > 1 + IDEAL_TOL:
+        raise ValueError(f"point {z2:.6g} lies outside the closed disk")
+    # z1, z2, 0 collinear exactly when Im(conj(z1) z2) = 0; det is that
+    # imaginary part bit for bit, and the 2x2 solve below divides by it
     x1, y1 = z1.real, z1.imag
     x2, y2 = z2.real, z2.imag
     det = x1 * y2 - x2 * y1
-    r1 = (abs(z1) ** 2 + 1.0) / 2.0
-    r2 = (abs(z2) ** 2 + 1.0) / 2.0
+    if abs(det) <= COLLINEAR_TOL:
+        u = (z2 - z1) / abs(z2 - z1)
+        if u.real < 0 or (u.real == 0 and u.imag < 0):
+            u = -u
+        return _new_arc(GeodesicArc, ("diameter", (z1, z2), None, None, u))
+    # orthogonality |C|^2 = R^2 + 1 plus incidence |z_i - C| = R reduce to
+    # the linear system 2 Re(conj(C) z_i) = |z_i|^2 + 1
+    r1 = (m1**2 + 1.0) / 2.0
+    r2 = (m2**2 + 1.0) / 2.0
     center = complex((r1 * y2 - r2 * y1) / det, (x1 * r2 - x2 * r1) / det)
     radius_sq = abs(center) ** 2 - 1.0
     if radius_sq < 0:
@@ -123,7 +132,7 @@ def geodesic_between(z1: complex, z2: complex) -> GeodesicArc:
             f"lies inside the unit circle (|C|^2 - 1 = {radius_sq:.3g})"
         )
     radius = math.sqrt(radius_sq)
-    return GeodesicArc("arc", (z1, z2), center=center, radius=radius)
+    return _new_arc(GeodesicArc, ("arc", (z1, z2), center, radius, None))
 
 
 def geodesic_apex(z1: complex, z2: complex) -> complex:
@@ -231,13 +240,10 @@ def _tangent_at(side: GeodesicArc, v: complex) -> complex:
 
 def polygon_from_vertices(vertices: Sequence[complex]) -> HyperbolicPolygon:
     """Polygon with geodesic sides joining consecutive vertices."""
-    verts = tuple(complex(v) for v in vertices)
+    verts = tuple(map(complex, vertices))
     if len(verts) < 3:
         raise ValueError("polygon needs at least 3 vertices")
-    p = len(verts)
-    sides = tuple(
-        geodesic_between(verts[i], verts[(i + 1) % p]) for i in range(p)
-    )
+    sides = tuple(map(geodesic_between, verts, verts[1:] + verts[:1]))
     ideal = tuple(abs(abs(v) - 1.0) <= IDEAL_TOL for v in verts)
     return HyperbolicPolygon(verts, sides, ideal)
 

@@ -125,6 +125,8 @@ def verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
     and hyperbolic. The report and its entries are NamedTuples; the
     report passes when every entry does.
     """
+    kind = spec.kind
+    boundary = kind == "boundary"
     entries = []
     passed = True
     for idx, gen in enumerate(spec.generators, start=1):
@@ -134,12 +136,12 @@ def verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
         det_res = abs(det - 1.0)
         try:
             cls = _entries_class(a, b, c, d, det)
-            cls_name = cls.value
+            # the member's value, read past Enum's `value` descriptor
+            cls_name = cls._value_
         except ValueError:
             cls = None
             cls_name = "unclassifiable"
-        inv_res: float | None = None
-        if spec.kind == "boundary":
+        if boundary:
             sq_a, sq_b, sq_c, sq_d = _product(gen, gen)
             if sq_a * sq_d - sq_b * sq_c == 0:
                 # compose's MoebiusMap._make rejected such a square
@@ -155,9 +157,10 @@ def verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
                 and inv_res <= INVOLUTION_TOL
             )
         else:
+            inv_res = None
             ok = det_res <= DET_TOL and cls is MapClass.HYPERBOLIC
         passed = passed and ok
         entries.append(
-            VerifyEntry(f"{spec.kind}[{idx}]", det_res, trace, cls_name, inv_res, ok)
+            VerifyEntry(f"{kind}[{idx}]", det_res, trace, cls_name, inv_res, ok)
         )
     return VerifyReport(tuple(entries), passed)

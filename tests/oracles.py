@@ -2,10 +2,20 @@
 
 `fixed_points` solves the fixed-point equation of a Moebius map in
 closed form; the tests hold it against `apply` and `classify`.
+`geodesic_between` is the plain statement of
+`disk_geometry.geodesic_between`, which must build the same arcs bit
+for bit and raise the same errors.
 """
 
 import cmath
+import math
 
+from fuchsian.disk_geometry import (
+    COLLINEAR_TOL,
+    IDEAL_TOL,
+    DegenerateGeodesicError,
+    GeodesicArc,
+)
 from fuchsian.moebius import CLASS_BOUNDARY_TOL, INFINITY, MoebiusMap, Point, normalize
 
 
@@ -29,3 +39,35 @@ def fixed_points(m: MoebiusMap) -> list[Point]:
         return [(a - d) / (2 * c)]
     s = cmath.sqrt(disc)
     return [((a - d) + s) / (2 * c), ((a - d) - s) / (2 * c)]
+
+
+def geodesic_between(z1: complex, z2: complex) -> GeodesicArc:
+    """The unique geodesic through two distinct points with |z| <= 1."""
+    z1, z2 = complex(z1), complex(z2)
+    if z1 == z2:
+        raise ValueError("coincident points determine no geodesic")
+    for z in (z1, z2):
+        if abs(z) > 1 + IDEAL_TOL:
+            raise ValueError(f"point {z:.6g} lies outside the closed disk")
+    # z1, z2, 0 collinear exactly when Im(conj(z1) z2) = 0
+    if abs((z1.conjugate() * z2).imag) <= COLLINEAR_TOL:
+        u = (z2 - z1) / abs(z2 - z1)
+        if u.real < 0 or (u.real == 0 and u.imag < 0):
+            u = -u
+        return GeodesicArc("diameter", (z1, z2), direction=u)
+    # orthogonality |C|^2 = R^2 + 1 plus incidence |z_i - C| = R reduce to
+    # the linear system 2 Re(conj(C) z_i) = |z_i|^2 + 1
+    x1, y1 = z1.real, z1.imag
+    x2, y2 = z2.real, z2.imag
+    det = x1 * y2 - x2 * y1
+    r1 = (abs(z1) ** 2 + 1.0) / 2.0
+    r2 = (abs(z2) ** 2 + 1.0) / 2.0
+    center = complex((r1 * y2 - r2 * y1) / det, (x1 * r2 - x2 * r1) / det)
+    radius_sq = abs(center) ** 2 - 1.0
+    if radius_sq < 0:
+        raise DegenerateGeodesicError(
+            f"geodesic through {z1:.6g} and {z2:.6g}: computed center "
+            f"lies inside the unit circle (|C|^2 - 1 = {radius_sq:.3g})"
+        )
+    radius = math.sqrt(radius_sq)
+    return GeodesicArc("arc", (z1, z2), center=center, radius=radius)

@@ -1,5 +1,6 @@
-"""Byte pins of command output: sha256 of what `fuchsian` writes, and
-the exact stderr and exit code of commands that fail.
+"""Byte pins of command output: sha256 of what `fuchsian` writes, the
+exact stderr and exit code of commands that fail, and the sha256 of the
+reprs of the surface path's records.
 
 A change to the arithmetic, the float formatting or the payload layout
 changes these hashes; a refactor that keeps every float bit does not.
@@ -10,7 +11,14 @@ import hashlib
 import pytest
 
 import json_reference
-from fuchsian import cli
+from fuchsian import (
+    HyperellipticCurve,
+    boundary_generators,
+    cli,
+    fundamental_polygon,
+    subgroup_generators,
+    verify_group,
+)
 
 # argv -> (sha256 of stdout, exit code); the --perturb runs pin the
 # failing verify report as well as the passing one
@@ -108,3 +116,35 @@ def test_render_svg_bytes_are_pinned(tmp_path):
     assert cli.main(["render", "--genus", "5", "--sign", "plus",
                      "--out", str(out)]) == 0
     assert sha256(out.read_bytes()) == GOLDEN_RENDER_GENUS_5_PLUS
+
+
+# genus -> sha256 of the surface path's reprs for both signs and the
+# fixed indices 1, g and 2g + 1 (surface_path_reprs), recorded at commit
+# 77716ed, before geodesic_between and verify_group were trimmed
+GOLDEN_SURFACE_PATH = {
+    2: "ff968fae5a1664c3ea048cbe531dc7115b78b701f4d218020f1544c968208707",
+    3: "79700f0678f5a008ff75b5ace62e057169ad9c5f6e7efb6d4610f4d0af91b222",
+    10: "810f0285cfb6c6ab8243100beb3adfa4fa78c32acd4211c95d03404d497051bb",
+    41: "1000c3725e0f219e9f9ce4a7d06be6e992452c25fb2b60f260b36425bfcd4edd",
+}
+
+
+def surface_path_reprs(g: int):
+    """The boundary group (generators and sides), the surface products,
+    both verify reports and the fundamental polygon, as reprs."""
+    for sign in (1, -1):
+        curve = HyperellipticCurve(g, sign)
+        base = boundary_generators(curve)
+        yield repr(base)
+        yield repr(verify_group(base))
+        for k in (1, g, 2 * g + 1):
+            surface = subgroup_generators(base, k)
+            yield repr(surface)
+            yield repr(verify_group(surface))
+        yield repr(fundamental_polygon(curve))
+
+
+@pytest.mark.parametrize("g", list(GOLDEN_SURFACE_PATH))
+def test_surface_path_records_are_pinned(g):
+    data = "\n".join(surface_path_reprs(g)).encode("utf-8")
+    assert sha256(data) == GOLDEN_SURFACE_PATH[g]
