@@ -16,7 +16,9 @@ from fuchsian.disk_geometry import COLLINEAR_TOL, IDEAL_TOL, geodesic_between
 
 # a fixed example sequence and no example database, so a run is
 # reproducible and writes nothing
-PROPERTY = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(
+    max_examples=400, deadline=None, derandomize=True, database=None
+)
 
 radii = st.floats(0.0, 1.0)
 angles = st.floats(-math.pi, math.pi)
@@ -31,7 +33,8 @@ def outcome(solve, z1, z2) -> tuple:
 
 
 def assert_same(z1, z2) -> None:
-    assert outcome(geodesic_between, z1, z2) == outcome(oracles.geodesic_between, z1, z2)
+    want = outcome(oracles.geodesic_between, z1, z2)
+    assert outcome(geodesic_between, z1, z2) == want
 
 
 @st.composite
@@ -49,7 +52,8 @@ def test_interior_pairs_match_the_oracle(z1, z2):
 def root_pairs(draw) -> tuple[complex, complex]:
     """Two of the roots of y^2 = z^(2g+1) +/- 1 and their reflections
     across the first root side, as fundamental_polygon places them."""
-    curve = HyperellipticCurve(draw(st.integers(1, 200)), draw(st.sampled_from((1, -1))))
+    g = draw(st.integers(1, 200))
+    curve = HyperellipticCurve(g, draw(st.sampled_from((1, -1))))
     rs = roots(curve)
     side = oracles.geodesic_between(rs[0], rs[1])
     center, radius = side.center, side.radius
@@ -86,27 +90,17 @@ def test_pairs_near_the_collinear_tolerance_match_the_oracle(pair):
 
 
 @PROPERTY
-@given(disk_points(), disk_points())
-def test_collinearity_determinant_is_the_imaginary_part_bit_for_bit(z1, z2):
-    det = z1.real * z2.imag - z2.real * z1.imag
-    assert abs(det) == abs((z1.conjugate() * z2).imag)
-
-
-@PROPERTY
 @given(disk_points(st.floats(0.0, 1.5)), disk_points(st.floats(0.0, 1.5)))
 def test_outside_disk_inputs_match_the_oracle(z1, z2):
     assert_same(z1, z2)
 
 
 @PROPERTY
-@given(disk_points(st.floats(0.0, 1.5)), st.sampled_from((complex, float, int)))
-def test_coincident_inputs_match_the_oracle(z, kind):
+@given(disk_points(st.floats(0.0, 1.5)))
+def test_coincident_inputs_match_the_oracle(z):
     assert_same(z, z)
-    if kind is not complex:
-        # a real point given as a float or an int, twice
-        x = kind(round(z.real)) if kind is int else z.real
-        assert_same(x, x)
-        assert_same(x, complex(x))
+    # a real point given once as a float and once as a complex
+    assert_same(z.real, complex(z.real))
 
 
 def test_closed_disk_edge_matches_the_oracle():
