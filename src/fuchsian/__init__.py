@@ -34,7 +34,7 @@ _EXPORTS = {
         "geodesic_apex",
         "geodesic_between",
         "polygon_area",
-        "polygon_from_vertices",
+        "root_polygon",
         "side_pairing_elliptic",
     ),
     "group_builder": (

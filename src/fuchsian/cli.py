@@ -384,11 +384,10 @@ def render_svg(curve: HyperellipticCurve) -> str:
     """SVG 1.1 figure: unit circle, root polygon, shaded fundamental
     polygon, labeled roots (r1..rn) and side apexes (m1..mn).
     """
-    from .curves import roots
-    from .disk_geometry import fundamental_polygon, polygon_from_vertices
+    from .disk_geometry import fundamental_polygon, root_polygon
 
-    rs = roots(curve)
-    root_poly = polygon_from_vertices(rs)
+    root_poly = root_polygon(curve)
+    rs = root_poly.vertices
     mids = [side.apex for side in root_poly.sides]
     fund = fundamental_polygon(curve)
     out = [

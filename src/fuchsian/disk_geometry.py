@@ -4,12 +4,20 @@ Geodesics of the unit-disk model are diameters or circular arcs meeting
 the unit circle at right angles (|center|^2 = 1 + radius^2). This module
 builds geodesics between points, finds the geodesic apex (the point of
 the geodesic closest to the origin), constructs the order-2 elliptic map
-pairing a side with itself, builds the ideal fundamental polygon of a
-curve, and computes Gauss-Bonnet areas.
+pairing a side with itself and the half-turn about a point, builds the
+root polygon and the ideal fundamental polygon of a curve, and computes
+Gauss-Bonnet areas.
+
+Every side with two ideal endpoints comes from one closed form,
+`_ideal_arc`: the geodesic whose endpoints lie at the angles phi -+ delta
+has center e^(i phi)/cos(delta) and radius tan(delta). The curve's
+polygons derive phi and delta from exact multiples of pi, so no side of
+theirs is solved from its rounded endpoints.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple, Sequence
 
@@ -25,7 +33,7 @@ _THREE_POINTS = "side pairing needs three distinct points"
 
 class DegenerateGeodesicError(NumericalError, ValueError):
     """The computed arc center lies inside the unit circle: a numerical
-    breakdown (cancellation in the center's 2x2 solve when the two
+    breakdown (cancellation in the center's 2x2 solve when two interior
     points nearly coincide), not bad input.
     """
 
@@ -99,8 +107,30 @@ def cross_ratio(z1: Point, z2: Point, z3: Point, z4: Point) -> complex:
     return num / den
 
 
+def _ideal_arc(
+    z1: complex, z2: complex, direction: complex, tan_half: float
+) -> GeodesicArc:
+    """The geodesic joining the ideal points z1 and z2, given the unit
+    direction e^(i phi) of their mid-angle and the tangent of the angle
+    delta < pi/2 that each lies from it: center e^(i phi)/cos(delta) =
+    e^(i phi) sqrt(1 + tan^2(delta)), radius tan(delta). Its apex is
+    e^(i phi) tan(pi/4 - delta/2).
+    """
+    return _new_arc(
+        GeodesicArc,
+        ("arc", (z1, z2), direction * math.sqrt(1.0 + tan_half * tan_half),
+         tan_half, None),
+    )
+
+
 def geodesic_between(z1: complex, z2: complex) -> GeodesicArc:
-    """The unique geodesic through two distinct points with |z| <= 1."""
+    """The unique geodesic through two distinct points with |z| <= 1.
+
+    Two ideal points (each within IDEAL_TOL of the unit circle) that are
+    not collinear with the origin get `_ideal_arc`'s closed form, with
+    the mid-angle direction (z1 + z2)/|z1 + z2| and the half-angle
+    tangent |z1 - z2|/|z1 + z2|; any other pair solves a 2x2 system.
+    """
     z1, z2 = complex(z1), complex(z2)
     if z1 == z2:
         raise ValueError("coincident points determine no geodesic")
@@ -120,6 +150,10 @@ def geodesic_between(z1: complex, z2: complex) -> GeodesicArc:
         if u.real < 0 or (u.real == 0 and u.imag < 0):
             u = -u
         return _new_arc(GeodesicArc, ("diameter", (z1, z2), None, None, u))
+    if abs(m1 - 1.0) <= IDEAL_TOL and abs(m2 - 1.0) <= IDEAL_TOL:
+        s = z1 + z2
+        ms = abs(s)
+        return _ideal_arc(z1, z2, s / ms, abs(z1 - z2) / ms)
     # orthogonality |C|^2 = R^2 + 1 plus incidence |z_i - C| = R reduce to
     # the linear system 2 Re(conj(C) z_i) = |z_i|^2 + 1
     r1 = (m1**2 + 1.0) / 2.0
@@ -157,23 +191,15 @@ def side_pairing_elliptic(z1: complex, z2: complex, m: complex) -> MoebiusMap:
 
     m must lie on the geodesic through z1 and z2; the result is
     normalized (det 1) with trace exactly 0, so it is an involution.
+    A zero determinant of the unnormalized entries is a numerical
+    breakdown (the three points are distinct and on one geodesic), so it
+    raises moebius.DegenerateMapError.
     """
     z1, z2, m = complex(z1), complex(z2), complex(m)
     if z1 == z2:
         # before geodesic_between, whose own error names coincidence
         raise ValueError(_THREE_POINTS)
-    return _side_involution(geodesic_between(z1, z2), m)
-
-
-def _side_involution(g: GeodesicArc, m: complex) -> MoebiusMap:
-    """side_pairing_elliptic() of g's endpoints and the complex m, on the
-    arc g already built, with one MoebiusMap._make.
-
-    A zero determinant of the unnormalized entries is a numerical
-    breakdown here (the three points are distinct and on one geodesic),
-    so it raises moebius.DegenerateMapError.
-    """
-    z1, z2 = g.endpoints
+    g = geodesic_between(z1, z2)
     if m == z1 or m == z2:
         raise ValueError(_THREE_POINTS)
     if point_on_geodesic(m, g) > ON_GEODESIC_TOL:
@@ -184,6 +210,20 @@ def _side_involution(g: GeodesicArc, m: complex) -> MoebiusMap:
     b = z2 * q - z1 * p
     c = (m - z2) ** 2 - (m - z1) ** 2
     return _normalized(a, b, c, -a)
+
+
+def half_turn(p: complex) -> MoebiusMap:
+    """The half-turn about the disk point p, the order-2 elliptic
+    isometry fixing it: (i(1+|p|^2), -2ip; 2i conj(p), -i(1+|p|^2)) /
+    (1 - |p|^2). Its trace is exactly 0 and its determinant is 1 to
+    rounding, with the same sign convention for every p; it swaps the
+    two ends of every geodesic through p.
+    """
+    q = p.real * p.real + p.imag * p.imag
+    s = 1.0 / (1.0 - q)
+    a = complex(0.0, (1.0 + q) * s)
+    w = complex(0.0, 2.0 * s)
+    return MoebiusMap._make(a, -w * p, w * p.conjugate(), -a)
 
 
 def polygon_area(poly: HyperbolicPolygon | Sequence[float]) -> float:
@@ -238,30 +278,73 @@ def _tangent_at(side: GeodesicArc, v: complex) -> complex:
     return t / abs(t)
 
 
-def polygon_from_vertices(vertices: Sequence[complex]) -> HyperbolicPolygon:
-    """Polygon with geodesic sides joining consecutive vertices."""
-    verts = tuple(map(complex, vertices))
-    if len(verts) < 3:
-        raise ValueError("polygon needs at least 3 vertices")
-    sides = tuple(map(geodesic_between, verts, verts[1:] + verts[:1]))
-    ideal = tuple(abs(abs(v) - 1.0) <= IDEAL_TOL for v in verts)
-    return HyperbolicPolygon(verts, sides, ideal)
+def root_polygon(curve: HyperellipticCurve) -> HyperbolicPolygon:
+    """The ideal (2g+1)-gon of the roots; side j joins r_j to r_(j+1).
+
+    With n = 2g+1, side j has the half-width pi/n and the mid-angle
+    pi m/n, m = 2j + 2 for sign +1 and 2j + 3 for sign -1 (mod 2n), so
+    `_ideal_arc` builds it from exact angles.
+    """
+    rs = roots(curve)
+    n = len(rs)
+    tan_half = math.tan(math.pi / n)
+    first = 2 if curve.sign == 1 else 3
+    sides = tuple([
+        _ideal_arc(
+            rs[j], rs[(j + 1) % n],
+            cmath.exp(1j * (math.pi * ((first + 2 * j) % (2 * n)) / n)), tan_half,
+        )
+        for j in range(n)
+    ])
+    return HyperbolicPolygon(tuple(rs), sides, (True,) * n)
 
 
 def fundamental_polygon(curve: HyperellipticCurve) -> HyperbolicPolygon:
     """Ideal 4g-gon: the root polygon plus its reflection across the
     first side, vertices counterclockwise from the first root.
+
+    Measured from the first side's mid-angle, root r_j sits at the angle
+    t_j = (2j - 1) delta (delta = pi/n, r_n = r_0), and the reflection
+    sends it to s_j with tan(s_j/2) = k cot(t_j/2), k = tan^2(delta/2).
+    The reflection of side j joins s_(j+1) to s_j; the tangent of its
+    half-width (s_j - s_(j+1))/2 is
+    k sin(delta) / (sin u_j sin u_(j+1) + k^2 cos u_j cos u_(j+1)),
+    u_j = t_j/2, which keeps its digits however close the two reflected
+    roots lie. Both lists are symmetric about the axis (u_(n+1-j) =
+    pi - u_j and s_(n+1-j) = -s_j), so each is computed for its first
+    half and mirrored.
     """
-    rs = roots(curve)
+    root = root_polygon(curve)
+    rs, root_sides = root.vertices, root.sides
     n = len(rs)
-    side = geodesic_between(rs[0], rs[1])
-    # adjacent roots are never collinear with the origin for n >= 3
-    center, radius = side.center, side.radius
-
-    def reflect(z: complex) -> complex:
-        return center + radius**2 / (z - center).conjugate()
-
-    vertices = [rs[0]]
-    vertices.extend(reflect(rs[j]) for j in range(n - 1, 1, -1))
-    vertices.extend(rs[1:])
-    return polygon_from_vertices(vertices)
+    delta = math.pi / n
+    k = math.tan(0.5 * delta) ** 2
+    # e^(i phi_1), the direction of the first side's mid-angle
+    axis = root_sides[0].center / abs(root_sides[0].center)
+    # sin and cos of u_j = (2j - 1) pi/(2n) for j = 1..(n+1)/2, where
+    # u_j <= pi/2, then mirrored so neither loses digits near u = pi
+    us = [math.pi * a / (2 * n) for a in range(1, n + 1, 2)]
+    sin_u = [math.sin(u) for u in us]
+    cos_u = [math.cos(u) for u in us]
+    sin_u += sin_u[-2::-1]
+    cos_u += [-c for c in cos_u[-2::-1]]
+    # s[j - 1] is s_j; s_1 = delta and s_n = -delta are r_1 and r_0
+    s = [delta]
+    s += [2.0 * math.atan2(k * c, si) for si, c in zip(sin_u[1:len(us)], cos_u[1:])]
+    s += [-t for t in s[-2::-1]]
+    reflected = [axis * cmath.exp(1j * t) for t in s[1:-1]]
+    # the reflection of side j, j = n-1 down to 1, from s_(j+1) to s_j
+    points = [rs[1], *reflected, rs[0]]
+    scale, kk = k * math.sin(delta), k * k
+    mirrored = [
+        _ideal_arc(
+            points[j], points[j - 1],
+            axis * cmath.exp(0.5j * (s[j - 1] + s[j])),
+            scale / (sin_u[j - 1] * sin_u[j] + kk * cos_u[j - 1] * cos_u[j]),
+        )
+        for j in range(n - 1, 0, -1)
+    ]
+    vertices = (rs[0], *reversed(reflected), *rs[1:])
+    return HyperbolicPolygon(
+        vertices, (*mirrored, *root_sides[1:]), (True,) * len(vertices)
+    )

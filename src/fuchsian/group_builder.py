@@ -1,18 +1,17 @@
 """Boundary-vertex construction of the uniformizing group.
 
 Steps: place the 2g+1 curve roots on the unit circle; join cyclically
-adjacent roots by geodesics; pair each side with the order-2 elliptic
-map fixing the side's apex (the boundary group); multiply a fixed side
-map (default the first) by every other one, checking the 2g products
-are hyperbolic (the surface group). The 4g-sided ideal fundamental
-polygon is `disk_geometry.fundamental_polygon`.
+adjacent roots by geodesics (`disk_geometry.root_polygon`, in closed
+form); pair each side with the half-turn about the side's apex (the
+boundary group); multiply a fixed side map (default the first) by every
+other one, checking the 2g products are hyperbolic (the surface group).
+The 4g-sided ideal fundamental polygon is
+`disk_geometry.fundamental_polygon`.
 
-Each generator is built once: one geodesic per side gives both its apex
-and its side map, and the boundary group keeps it, so no reader solves a
+The boundary group keeps the root polygon's sides, so no reader builds a
 side again. Each product is multiplied and normalized into a single map,
-through the entry helpers of `disk_geometry` and `moebius` that the
-public `side_pairing_elliptic`, `compose` and `normalize` wrap, so the
-results are the same floats.
+through the entry helpers of `moebius` that the public `compose` and
+`normalize` wrap, so the results are the same floats.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import NumericalError
-from .curves import HyperellipticCurve, roots
-from .disk_geometry import GeodesicArc, _side_involution, geodesic_between
+from .curves import HyperellipticCurve
+from .disk_geometry import GeodesicArc, half_turn, root_polygon
 from .moebius import (
     DegenerateMapError,
     MapClass,
@@ -74,20 +73,15 @@ class VerifyReport(NamedTuple):
 def boundary_generators(curve: HyperellipticCurve) -> FuchsianGroupSpec:
     """One elliptic side map per cyclically adjacent root pair.
 
-    Generator j is side_pairing_elliptic(z1, z2, m) for roots z1 = r_j,
-    z2 = r_(j+1) and the apex m of the geodesic through them, computed
-    from one geodesic and built as one map; the spec keeps that geodesic
-    as side j.
+    Generator j is `half_turn(side.apex)` for side j of
+    `root_polygon(curve)`, the geodesic from r_j to r_(j+1); the apex is
+    e^(i phi_j) tan(pi/4 - pi/(2(2g+1))) at the side's mid-angle phi_j,
+    and the spec keeps the side.
     """
-    rs = roots(curve)
-    n = len(rs)
-    sides = []
-    gens = []
-    for j in range(n):
-        side = geodesic_between(rs[j], rs[(j + 1) % n])
-        sides.append(side)
-        gens.append(_side_involution(side, side.apex))
-    return FuchsianGroupSpec("boundary", tuple(gens), tuple(sides))
+    sides = root_polygon(curve).sides
+    return FuchsianGroupSpec(
+        "boundary", tuple(half_turn(side.apex) for side in sides), sides
+    )
 
 
 def subgroup_generators(base: FuchsianGroupSpec, k: int = 1) -> FuchsianGroupSpec:

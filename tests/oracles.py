@@ -4,17 +4,21 @@
 closed form; the tests hold it against `apply` and `classify`.
 `geodesic_between` is the plain statement of
 `disk_geometry.geodesic_between`, which must build the same arcs bit
-for bit and raise the same errors.
+for bit and raise the same errors. `polygon_from_vertices` joins
+consecutive vertices by `disk_geometry.geodesic_between`, which the
+angle and area tests build their finite polygons with.
 """
 
 import cmath
 import math
 
+from fuchsian import disk_geometry
 from fuchsian.disk_geometry import (
     COLLINEAR_TOL,
     IDEAL_TOL,
     DegenerateGeodesicError,
     GeodesicArc,
+    HyperbolicPolygon,
 )
 from fuchsian.moebius import CLASS_BOUNDARY_TOL, INFINITY, MoebiusMap, Point, normalize
 
@@ -55,6 +59,14 @@ def geodesic_between(z1: complex, z2: complex) -> GeodesicArc:
         if u.real < 0 or (u.real == 0 and u.imag < 0):
             u = -u
         return GeodesicArc("diameter", (z1, z2), direction=u)
+    # two ideal points: center e^(i phi) sqrt(1 + t^2) and radius t, from
+    # the mid-angle direction e^(i phi) and the tangent t of the half-angle
+    if abs(abs(z1) - 1.0) <= IDEAL_TOL and abs(abs(z2) - 1.0) <= IDEAL_TOL:
+        direction = (z1 + z2) / abs(z1 + z2)
+        t = abs(z1 - z2) / abs(z1 + z2)
+        return GeodesicArc(
+            "arc", (z1, z2), center=direction * math.sqrt(1.0 + t * t), radius=t
+        )
     # orthogonality |C|^2 = R^2 + 1 plus incidence |z_i - C| = R reduce to
     # the linear system 2 Re(conj(C) z_i) = |z_i|^2 + 1
     x1, y1 = z1.real, z1.imag
@@ -71,3 +83,15 @@ def geodesic_between(z1: complex, z2: complex) -> GeodesicArc:
         )
     radius = math.sqrt(radius_sq)
     return GeodesicArc("arc", (z1, z2), center=center, radius=radius)
+
+
+def polygon_from_vertices(vertices) -> HyperbolicPolygon:
+    """Polygon with geodesic sides joining consecutive vertices."""
+    verts = tuple(map(complex, vertices))
+    if len(verts) < 3:
+        raise ValueError("polygon needs at least 3 vertices")
+    sides = tuple(
+        map(disk_geometry.geodesic_between, verts, verts[1:] + verts[:1])
+    )
+    ideal = tuple(abs(abs(v) - 1.0) <= IDEAL_TOL for v in verts)
+    return HyperbolicPolygon(verts, sides, ideal)

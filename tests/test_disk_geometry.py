@@ -7,6 +7,7 @@ import random
 import pytest
 
 from fuchsian.disk_geometry import (
+    DegenerateGeodesicError,
     GeodesicArc,
     cross_ratio,
     geodesic_apex,
@@ -14,10 +15,10 @@ from fuchsian.disk_geometry import (
     interior_angles,
     point_on_geodesic,
     polygon_area,
-    polygon_from_vertices,
     side_pairing_elliptic,
 )
 from fuchsian.moebius import INFINITY, MoebiusMap, apply, compose
+from oracles import polygon_from_vertices
 
 
 def disk_point(rng: random.Random, rmax: float = 0.95) -> complex:
@@ -123,6 +124,16 @@ def test_geodesic_rejects_bad_input():
         geodesic_between(0.5, 0.5)
     with pytest.raises(ValueError):
         geodesic_between(1.5, 0.2)
+
+
+def test_interior_solve_breakdown_is_a_numerical_error():
+    # two interior points 3e-6 apart at |z| = 1 - 1e-8: the 2x2 solve
+    # cancels, and its center lands inside the unit circle
+    z1 = 0.955336479572241 + 0.29552020370613746j
+    z2 = 0.955335593007331 + 0.29552306971424636j
+    assert max(abs(z1), abs(z2)) < 1 - 1e-9
+    with pytest.raises(DegenerateGeodesicError, match="inside the unit circle"):
+        geodesic_between(z1, z2)
 
 
 def test_apex_closed_form_for_ideal_endpoints():
