@@ -402,7 +402,9 @@ def test_exit_code_numerical_breakdown(monkeypatch, capsys):
     assert len(error_lines(capsys)) == 2
 
 
-@pytest.mark.parametrize("genus, sign", [(44, -1), (47, 1)])
+@pytest.mark.parametrize(
+    "genus, sign", [(44, -1), (47, 1)], ids=["44-minus", "47-plus"]
+)
 def test_generators_reports_the_surface_determinant_drift(genus, sign):
     # the surface products lose digits as the genus grows (ROADMAP item
     # 3): from these genera on, with the default fixed index, a product's
@@ -417,9 +419,11 @@ def test_generators_reports_the_surface_determinant_drift(genus, sign):
 
 @pytest.mark.parametrize("sign", ["plus", "minus"])
 @pytest.mark.parametrize("genus", [81, 82, 200, 1000])
-def test_render_draws_every_root_and_apex_at_large_genus(genus, sign, tmp_path, capsys):
-    # the closed-form sides never meet the solve's breakdown, which made
-    # render exit 3 from genus 81 (sign +1) and 82 (sign -1)
+def test_render_draws_every_root_and_apex_at_large_genus(
+    genus, sign, tmp_path, capsys
+):
+    # from genus 81 two reflected roots lie within 4e-6 of each other;
+    # the closed-form sides between them keep every digit
     out = tmp_path / "f.svg"
     argv = ["render", "--genus", str(genus), "--sign", sign, "--out", str(out)]
     assert cli.main(argv) == 0
