@@ -30,17 +30,17 @@ GOLDEN_STDOUT = {
     ("generators", "--genus", "41", "--sign", "minus", "--fixed", "83"): (
         "36157ea6ec90e34cbc9bc4c05afd76ca3a5bec2472798958a8b937af26eaf0b1", 0),
     ("whittaker", "--genus", "2"): (
-        "a06fdc8aa20977c126739596b4b42fc9025bc6eb8e74dff84cf50d96e6f2214b", 0),
+        "55f6085966f78c84bbb66518dd2f6d3342e485f058cb940be7d355d1d378e636", 0),
     ("whittaker", "--genus", "40"): (
-        "bb84a3e6b69e8bb0681948084fe4b93a4a035f55af9189e5cc138593a538b2d1", 0),
+        "c6dfcbba5f64c75ea4e192ff15cfd3323863285bf00a3fa94e5b3fc71a1894f3", 0),
     ("whittaker", "--genus", "80"): (
-        "f1d89b085a5c86d33f24fd04c16195225ea422258e4f4b76917ab9026dceccdf", 0),
+        "29980b137d9b127a82c0923c56a1f54187208c955d6f55e3e6441d24b1aa66e2", 0),
     ("verify",): (
-        "8d2e56a739570809b596f9ea1d81c57c32fef7c73cc9c56c9c4b0b1c95900c99", 0),
+        "d166691b954b3414307cf064c1a47e18bc815e58f432f2f21711b1dfd93e9b07", 0),
     ("verify", "--perturb", "1e-2"): (
-        "d327732970debd6284e925a25ac13948b8590e16abacbbd95957db6024e3b145", 1),
+        "5e07848260e806723beaaaa7c8705e730ec8f95240bd1ee7f1d528e868815e6e", 1),
     ("verify", "--perturb", "0.5"): (
-        "ad089a565af0013a4ed2114b30ecf89edb3a03f99121d885cbed57d2185d467b", 1),
+        "552a325af4b70f99e329b8a48babe094b639532668115858b301d2de4f673698", 1),
     ("genus", "5", "7"): (
         "5f9ae88ae06cf2167140d81ab5ea2d0b2077ddf022c8ab13b7a6703941338339", 0),
     ("tessellation", "--degree", "9", "--genus", "4"): (

@@ -14,7 +14,7 @@ import pytest
 import scipy.special
 
 from fuchsian import NumericalError, whittaker
-from fuchsian.moebius import MapClass, classify, compose, normalize
+from fuchsian.moebius import MapClass, MoebiusMap, classify, compose, normalize
 from fuchsian.whittaker import (
     SeriesNotConvergedError,
     connection_map,
@@ -134,6 +134,58 @@ def test_hyp2f1_term_budget_exhaustion_is_numerical(monkeypatch):
     monkeypatch.setattr(whittaker, "SERIES_MAX_TERMS", 3)
     with pytest.raises(SeriesNotConvergedError, match=r"in z - z0 .* in 3 terms"):
         hyp2f1(-2, 0.7, 1.3, HARD_POINT)
+
+
+def test_a_terminating_sum_that_is_exactly_zero_stops_at_its_zero_term(monkeypatch):
+    # F(-1, 2; 1; 0.5) = 1 - 1 and F(-2, 3; 2; 0.5) = 1 - 1.5 + 0.5: the
+    # partial sum is 0 before the zero term, which alone ends the sum
+    monkeypatch.setattr(whittaker, "SERIES_MAX_TERMS", 3)
+    for alpha, b, c in ((-1, 2, 1), (-2, 3, 2)):
+        assert hyp2f1(alpha, b, c, 0.5) == 0
+        assert hyp2f1(b, alpha, c, 0.5) == 0
+
+
+@pytest.mark.parametrize("z", [math.nan, complex(math.nan, 0.3)])
+def test_a_nan_argument_runs_out_of_terms(z):
+    # a NaN partial sum never equals the one before it, so the sum runs
+    # its whole budget and fails instead of returning NaN
+    with pytest.raises(SeriesNotConvergedError, match="in 100000 terms"):
+        hyp2f1(0.2, 0.4, 0.8, z)
+
+
+def test_an_alternating_sum_near_the_negative_real_axis_keeps_its_digits():
+    # Im F is about 3e-4 of Re F here, and a complex partial sum stagnates
+    # only once both parts do: the sum takes 49 terms, where a stop test
+    # on |term| < 1e-16 |sum| took 41
+    p = hde_params(2)
+    z = -0.8363590157521454 + 0.004921687872512701j
+    with mpmath.workdps(30):
+        want = complex(mpmath.hyp2f1(p.alpha, p.beta, p.gamma, z))
+    got = hyp2f1(p.alpha, p.beta, p.gamma, z)
+    assert abs(got - want) <= 1e-13 * abs(want)
+    assert abs(got.imag - want.imag) <= 1e-13 * abs(want.imag)
+
+
+# the most terms any one sum takes over the grid below, and that plus 10%
+BUDGET_GRID_MOST_TERMS = 250
+BUDGET_GRID_TERMS = 275
+
+
+def test_every_sum_of_the_workload_region_fits_a_tight_term_budget(monkeypatch):
+    # the benchmark's hyp2f1 region: genus triples for g = 2..1000 and
+    # 1e-3 <= 1 - |z| <= 1, on a log-spaced grid at 72 angles. Each sum
+    # (series, seed series or Taylor recurrence) has its own budget, and
+    # the largest one needs BUDGET_GRID_MOST_TERMS terms: a stop rule that
+    # keeps summing long after the partial sum has stopped moving fails
+    monkeypatch.setattr(whittaker, "SERIES_MAX_TERMS", BUDGET_GRID_TERMS)
+    genera = sorted({round(2 * 500 ** (i / 7)) for i in range(8)})
+    gaps = [1e-3 * 1000 ** (i / 9) for i in range(10)]
+    for g in genera:
+        p = hde_params(g)
+        for gap in gaps:
+            for k in range(72):
+                z = (1 - gap) * cmath.exp(2j * math.pi * k / 72)
+                assert cmath.isfinite(hyp2f1(p.alpha, p.beta, p.gamma, z))
 
 
 # radii where hyp2f1 routes through a transformation, and angles around
@@ -340,11 +392,36 @@ def test_connection_map_frozen_entries_genus_two():
     assert abs(w.trace - 4 * math.cos(0.2 * math.pi) * math.cos(0.6 * math.pi)) < 1e-12
 
 
+CONNECTION_GENERA = [*range(2, 121), 200, 1000, 3000]
+
+
 def test_connection_map_two_constructions_agree_projectively():
-    # verify checks g = 2..5; the benchmark checks the maps up to g = 80
-    for g in range(2, 81):
+    # verify checks g = 2..5; the benchmark checks the maps up to g = 80.
+    # projective_distance of the normalized maps exceeds 1e-8 from g = 97
+    # (1.2e-4 at g = 1000); the entrywise residual stays near 1e-13
+    for g in CONNECTION_GENERA:
         closed_form, from_gammas = connection_map(g), connection_map_from_gammas(g)
         assert whittaker.connection_residual(closed_form, from_gammas) < 1e-8
+
+
+@pytest.mark.parametrize("entry", "abcd")
+def test_connection_residual_reads_a_bent_entry_at_every_genus(entry):
+    # negative control: a relative bend of 1e-6 in any one entry reads
+    # 1e-6 to five digits, including the largest entry, which sets the scale
+    for g in CONNECTION_GENERA:
+        closed_form, from_gammas = connection_map(g), connection_map_from_gammas(g)
+        bent = {e: getattr(from_gammas, e) for e in "abcd"}
+        bent[entry] *= 1 + 1e-6
+        residual = whittaker.connection_residual(closed_form, MoebiusMap(**bent))
+        assert residual == pytest.approx(1e-6, rel=1e-5)
+
+
+def test_connection_residual_of_zero_entries():
+    identity = MoebiusMap(1, 0, 0, 1)
+    assert whittaker.connection_residual(identity, MoebiusMap(2j, 0, 0, 2j)) == 0
+    assert whittaker.connection_residual(identity, MoebiusMap(1, 1e-300, 0, 1)) == math.inf
+    assert whittaker.connection_residual(MoebiusMap(1, 1e-300, 0, 1), identity) == math.inf
+    assert whittaker.connection_residual(MoebiusMap(1, 2, 3, 4), MoebiusMap(0, 2, 3, 4)) == math.inf
 
 
 def test_connection_map_from_gammas_evaluates_each_gamma_once(monkeypatch):
