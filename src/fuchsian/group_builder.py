@@ -21,7 +21,7 @@ from __future__ import annotations
 # `dataclasses.replace` (the benchmark's self-check bends one generator
 # that way), and only the commands that build groups (`generators`,
 # `verify`) pay for importing `dataclasses`. The verify records are
-# NamedTuples, built positionally once per generator.
+# NamedTuples; verify_group builds each entry with `tuple.__new__`.
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -70,6 +70,13 @@ class VerifyReport(NamedTuple):
     passed: bool
 
 
+# builds an entry from all six fields in order, without the call through
+# VerifyEntry's keyword __new__
+_new_entry = tuple.__new__
+_ELLIPTIC = MapClass.ELLIPTIC
+_HYPERBOLIC = MapClass.HYPERBOLIC
+
+
 def boundary_generators(curve: HyperellipticCurve) -> FuchsianGroupSpec:
     """One elliptic side map per cyclically adjacent root pair.
 
@@ -103,7 +110,7 @@ def subgroup_generators(base: FuchsianGroupSpec, k: int = 1) -> FuchsianGroupSpe
         if j == k:
             continue
         prod = _normalized(*_product(fixed, base.generators[j - 1]))
-        if classify(prod) is not MapClass.HYPERBOLIC:
+        if classify(prod) is not _HYPERBOLIC:
             raise NonHyperbolicProductError(
                 f"product of side maps {k} and {j} is not hyperbolic"
             )
@@ -136,25 +143,38 @@ def verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
             cls = None
             cls_name = "unclassifiable"
         if boundary:
-            sq_a, sq_b, sq_c, sq_d = _product(gen, gen)
-            if sq_a * sq_d - sq_b * sq_c == 0:
-                # compose's MoebiusMap._make rejected such a square
-                # (e.g. det ~1e-200 underflows to 0 when squared)
-                raise DegenerateMapError(_DEGENERATE)
-            inv_res = max(
-                abs(sq_a + 1.0), abs(sq_b), abs(sq_c), abs(sq_d + 1.0)
-            )
+            if d == -a:
+                # Every half-turn has d == -a. Then a*b + b*(-a) and
+                # c*a + (-a)*c are exactly 0 and a*a + b*c equals
+                # c*b + (-a)*(-a), so _product(gen, gen) is (-det, 0; 0,
+                # -det): its residual max(|sq_a + 1|, ..., |sq_d + 1|) is
+                # |det - 1| and its determinant det*det, bit for bit.
+                if det * det == 0:
+                    raise DegenerateMapError(_DEGENERATE)
+                inv_res = det_res
+            else:
+                sq_a, sq_b, sq_c, sq_d = _product(gen, gen)
+                if sq_a * sq_d - sq_b * sq_c == 0:
+                    # compose's MoebiusMap._make rejected such a square
+                    # (e.g. det ~1e-200 underflows to 0 when squared)
+                    raise DegenerateMapError(_DEGENERATE)
+                inv_res = max(
+                    abs(sq_a + 1.0), abs(sq_b), abs(sq_c), abs(sq_d + 1.0)
+                )
             ok = (
                 det_res <= DET_TOL
                 and abs(trace) <= TRACE_TOL
-                and cls is MapClass.ELLIPTIC
+                and cls is _ELLIPTIC
                 and inv_res <= INVOLUTION_TOL
             )
         else:
             inv_res = None
-            ok = det_res <= DET_TOL and cls is MapClass.HYPERBOLIC
+            ok = det_res <= DET_TOL and cls is _HYPERBOLIC
         passed = passed and ok
         entries.append(
-            VerifyEntry(f"{kind}[{idx}]", det_res, trace, cls_name, inv_res, ok)
+            _new_entry(
+                VerifyEntry,
+                (f"{kind}[{idx}]", det_res, trace, cls_name, inv_res, ok),
+            )
         )
     return VerifyReport(tuple(entries), passed)

@@ -66,8 +66,10 @@ def _series(
     or at once on a term that is exactly 0 (a terminating series);
     SeriesNotConvergedError, naming the sum and |z|, if neither happens
     in SERIES_MAX_TERMS. A term that leaves a double unchanged is below
-    half an ulp of it, so every term that moves the result is kept; a
-    NaN sum never compares equal and runs out of terms.
+    half an ulp of it, so every term that moves the result is kept.
+    hyp2f1 rejects a NaN argument before any sum; a sum that turns NaN
+    otherwise (a NaN parameter) never compares equal and runs out of
+    terms.
     """
     if z.imag == 0:
         z = z.real
@@ -177,11 +179,14 @@ def hyp2f1(alpha: float, beta: float, gamma: float, z: complex) -> complex:
 
     z = 1 uses the Gauss summation Gamma(gamma) Gamma(gamma-alpha-beta)
     / (Gamma(gamma-alpha) Gamma(gamma-beta)), which needs
-    gamma - alpha - beta > 0.
+    gamma - alpha - beta > 0. A NaN argument is bad input: ValueError
+    at once, not a sum run out of terms.
     """
     if _is_pole(gamma):
         raise ValueError("gamma parameter is a nonpositive integer")
     z = complex(z)
+    if cmath.isnan(z):
+        raise ValueError("argument z is NaN")
     if z == 1:
         if gamma - alpha - beta <= 0:
             raise ValueError("Gauss sum at z = 1 needs gamma > alpha + beta")

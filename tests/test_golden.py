@@ -139,3 +139,35 @@ def surface_path_reprs(g: int):
 def test_surface_path_records_are_pinned(g):
     data = "\n".join(surface_path_reprs(g)).encode("utf-8")
     assert sha256(data) == GOLDEN_SURFACE_PATH[g]
+
+
+# sha256 of every surface_sweep request's records, g = 1..41, both signs
+# and every fixed index k = 1..2g+1 (full_surface_range_parts), recorded
+# before verify_group read the involution residual off the determinant.
+# The surface range passes DET_TOL by a few ulps, so no bit may move.
+GOLDEN_FULL_SURFACE_RANGE = (
+    "3373e691ce75ee19595189f3869e70994c3ab013cf52dca46d9e3d116bb33d9e"
+)
+
+
+def full_surface_range_parts():
+    """The boundary group and its report, then each surface group and
+    its report in k order, then the fundamental polygon, as reprs."""
+    for g in range(1, 42):
+        for sign in (1, -1):
+            curve = HyperellipticCurve(g, sign)
+            base = boundary_generators(curve)
+            yield repr(base)
+            yield repr(verify_group(base))
+            for k in range(1, 2 * g + 2):
+                surface = subgroup_generators(base, k)
+                yield repr(surface)
+                yield repr(verify_group(surface))
+            yield repr(fundamental_polygon(curve))
+
+
+def test_every_surface_sweep_request_is_pinned():
+    digest = hashlib.sha256()
+    for part in full_surface_range_parts():
+        digest.update(part.encode("utf-8"))
+    assert digest.hexdigest() == GOLDEN_FULL_SURFACE_RANGE

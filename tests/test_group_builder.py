@@ -5,6 +5,7 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fuchsian.curves import HyperellipticCurve, roots
 from fuchsian.group_builder import (
@@ -273,6 +274,65 @@ def test_verify_group_matches_reference_field_for_field():
         assert outcome(verify_group, spec) == outcome(reference_verify_group, spec)
     assert outcome(verify_group, bent)[0] is DegenerateMapError
     assert {e.map_class for e in verify_group(ill).entries} == {"unclassifiable"}
+
+
+# verify_group reads a half-turn's involution residual off its
+# determinant. The property below checks that identity against the
+# squared map of the reference on maps (a, b; c, d) with d = -a, and on
+# near misses that must take the square: d = a, d = -a one ulp off and a
+# free d. Entry parts run from 1e-160 to 1e160, so products overflow and
+# underflow, and include signed zeros, infinities and NaN.
+magnitudes = st.builds(
+    lambda mantissa, exponent, sign: sign * mantissa * 10.0**exponent,
+    st.floats(1.0, 10.0), st.integers(-160, 160), st.sampled_from((1.0, -1.0)),
+)
+specials = st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan))
+# one part in four is special, so most maps have a finite residual
+parts = st.builds(
+    lambda pick, finite, special: special if pick == 0 else finite,
+    st.integers(0, 3), magnitudes, specials,
+)
+entries = st.builds(complex, parts, parts)
+
+
+@st.composite
+def trace_zero_specs(draw) -> FuchsianGroupSpec:
+    maps = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b, c = draw(entries), draw(entries), draw(entries)
+        d = draw(st.sampled_from((
+            -a, -a, -a, a, complex(math.nextafter(-a.real, math.inf), -a.imag),
+            draw(entries),
+        )))
+        if a * d - b * c != 0:
+            maps.append(MoebiusMap(a, b, c, d))
+    return FuchsianGroupSpec("boundary", tuple(maps))
+
+
+def report_outcome(fn, spec) -> tuple:
+    """fn's report as the repr of every field (so -0.0, 0.0 and nan are
+    told apart and compared), or the type and message of its error."""
+    try:
+        report = fn(spec)
+    except Exception as err:  # noqa: BLE001 - the type is compared
+        return ("raise", type(err), str(err))
+    fields = tuple(tuple(map(repr, entry)) for entry in report.entries)
+    return ("report", fields, report.passed)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(trace_zero_specs())
+@example(FuchsianGroupSpec("boundary", (MoebiusMap(1e-100, 0, 0, -1e-100),)))
+def test_involution_residual_is_the_determinant_residual(spec):
+    want = report_outcome(reference_verify_group, spec)
+    assert report_outcome(verify_group, spec) == want
+
+
+def test_a_trace_zero_map_whose_square_underflows_is_degenerate():
+    # det = -1e-200, whose square underflows to 0
+    spec = FuchsianGroupSpec("boundary", (MoebiusMap(1e-100, 0, 0, -1e-100),))
+    assert outcome(verify_group, spec)[0] is DegenerateMapError
+    assert outcome(reference_verify_group, spec)[0] is DegenerateMapError
 
 
 def count_map_constructions(monkeypatch) -> list[str]:
