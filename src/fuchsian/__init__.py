@@ -39,7 +39,6 @@ _EXPORTS = {
     ),
     "group_builder": (
         "FuchsianGroupSpec",
-        "NonHyperbolicProductError",
         "VerifyEntry",
         "VerifyReport",
         "boundary_generators",

@@ -103,13 +103,14 @@ def run_checks(perturb: float = 0.0) -> tuple[bool, str]:
     # One pass builds each boundary group of the family once for the group
     # contract, products, side geometry and (sign -1) ideal polygon areas.
     det_res = tr_res = inv_res = root_res = ortho_res = apex_res = 0.0
-    all_elliptic = all_hyperbolic = area_ok = True
+    boundary_ok = all_elliptic = all_hyperbolic = area_ok = True
     min_product_trace = float("inf")
     for g in range(1, 7):
         for sign in (1, -1):
             curve = HyperellipticCurve(g, sign)
             base = example if (g, sign) == (2, -1) else boundary_generators(curve)
             for entry in verify_group(base).entries:
+                boundary_ok &= entry.passed
                 det_res = max(det_res, entry.det_residual)
                 tr_res = max(tr_res, abs(entry.trace))
                 inv_res = max(inv_res, entry.involution_residual)
@@ -133,7 +134,7 @@ def run_checks(perturb: float = 0.0) -> tuple[bool, str]:
                 area_ok &= polygon_area(poly) == (4 * g - 2) * math.pi
     add(
         "boundary_contract",
-        det_res <= 1e-9 and tr_res <= 1e-8 and all_elliptic,
+        boundary_ok,
         f"max|det-1|={det_res:.3e} max|tr|={tr_res:.3e} elliptic={all_elliptic}",
     )
     add(

@@ -9,8 +9,8 @@ a closed trigonometric form of the same map exists, and the two must
 agree projectively (connection_residual). Looping around z = 0
 multiplies the quotient by e^(2 pi i a). Out of these come a closed-form
 family of 2g+1 elliptic involutions generating the uniformizing group,
-and the 2g products of each later member with the first, generating the
-genus-g surface group.
+and the 2g plain matrix products of each later member with the first,
+generating the genus-g surface group.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from . import NumericalError
-from .moebius import MoebiusMap, compose, normalize
+from .moebius import MoebiusMap, compose
 
 # a sum stops once this many consecutive terms leave its partial sum
 # unchanged in floating point
@@ -424,12 +424,13 @@ def whittaker_generator_raw(g: int, k: int) -> MoebiusMap:
 
 
 def whittaker_subgroup(generators: Sequence[MoebiusMap]) -> list[MoebiusMap]:
-    """The 2g normalized products of generator k (k = 1..2g, 0-based,
-    on the left) with generator 0, generating the genus-g surface
-    group; every product is hyperbolic.
+    """The 2g products compose(generator k, generator 0) (k = 1..2g,
+    0-based), generating the genus-g surface group; every product is
+    hyperbolic.
 
     `generators` are the 2g+1 normalized closed-form generators,
-    normalize(whittaker_generator_raw(g, k)) for k = 0..2g.
+    normalize(whittaker_generator_raw(g, k)) for k = 0..2g, so the
+    products have determinant 1 without normalizing again.
     """
     first = generators[0]
-    return [normalize(compose(gen, first)) for gen in generators[1:]]
+    return [compose(gen, first) for gen in generators[1:]]
