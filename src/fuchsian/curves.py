@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from typing import NamedTuple
 
 
@@ -17,20 +18,37 @@ class _CurveFields(NamedTuple):
     sign: int
 
 
+def _as_int(value: object) -> int | None:
+    """value as a plain int (`operator.index`), or None for a bool, a
+    float or any other non-integer."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 class HyperellipticCurve(_CurveFields):
     """An immutable (genus, sign) record, validated on every
     construction: positional, by keyword, through `_make`/`_replace`,
-    and by unpickling with any pickle protocol.
+    and by unpickling with any pickle protocol. The genus is an integer
+    of at least 1 and the sign the integer +1 or -1, each stored as an
+    int; a float or a bool is rejected even where it equals such an int.
     """
 
     __slots__ = ()
 
     def __new__(cls, genus: int, sign: int) -> HyperellipticCurve:
-        if genus < 1:
+        g = _as_int(genus)
+        if g is None:
+            raise ValueError(f"genus must be an integer, not {genus!r}")
+        if g < 1:
             raise ValueError("genus must be at least 1")
-        if sign not in (1, -1):
+        s = _as_int(sign)
+        if s not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        return super().__new__(cls, genus, sign)
+        return super().__new__(cls, g, s)
 
     @classmethod
     def _make(cls, iterable) -> HyperellipticCurve:

@@ -13,6 +13,16 @@ Every side with two ideal endpoints comes from one closed form,
 has center e^(i phi)/cos(delta) and radius tan(delta). The curve's
 polygons derive phi and delta from exact multiples of pi, so no side of
 theirs is solved from its rounded endpoints.
+
+`root_polygon` keeps one entry: the last curve object it was given and
+that curve's polygon. A call with that same object (`is`, not `==`)
+returns the kept polygon, so one request that asks for the boundary
+group and the fundamental polygon of one curve builds the root polygon
+once. The entry holds its curve, so no other object can share its
+identity: a request that builds its own curve, even an equal one,
+always builds its polygon afresh and never reads another request's.
+The entry is one tuple, replaced whole, so a thread reads a matching
+curve and polygon or misses.
 """
 
 from __future__ import annotations
@@ -232,9 +242,13 @@ def polygon_area(poly: HyperbolicPolygon | Sequence[float]) -> float:
     Accepts either a HyperbolicPolygon (ideal vertices contribute angle
     0, finite vertices the angle between the adjacent side tangents) or
     a plain sequence of interior angles. An ideal p-gon yields exactly
-    (p - 2)*pi.
+    (p - 2)*pi, without walking its angles.
     """
     if isinstance(poly, HyperbolicPolygon):
+        p = len(poly.vertices)
+        if p >= 3 and all(poly.ideal):
+            # the angle sum is 0.0, and x - 0.0 == x bit for bit
+            return (p - 2) * math.pi
         angles = interior_angles(poly)
     else:
         angles = list(poly)
@@ -278,13 +292,24 @@ def _tangent_at(side: GeodesicArc, v: complex) -> complex:
     return t / abs(t)
 
 
+# (curve, its root polygon) of the last root_polygon call; the curve is
+# a fresh object until the first call
+_last_root: tuple = (object(), None)
+
+
 def root_polygon(curve: HyperellipticCurve) -> HyperbolicPolygon:
     """The ideal (2g+1)-gon of the roots; side j joins r_j to r_(j+1).
 
     With n = 2g+1, side j has the half-width pi/n and the mid-angle
     pi m/n, m = 2j + 2 for sign +1 and 2j + 3 for sign -1 (mod 2n), so
-    `_ideal_arc` builds it from exact angles.
+    `_ideal_arc` builds it from exact angles. The polygon of the last
+    curve object is kept and returned for that object again (see the
+    module docstring).
     """
+    global _last_root
+    last_curve, last_poly = _last_root
+    if curve is last_curve:
+        return last_poly
     rs = roots(curve)
     n = len(rs)
     tan_half = math.tan(math.pi / n)
@@ -296,12 +321,16 @@ def root_polygon(curve: HyperellipticCurve) -> HyperbolicPolygon:
         )
         for j in range(n)
     ])
-    return HyperbolicPolygon(tuple(rs), sides, (True,) * n)
+    poly = HyperbolicPolygon(tuple(rs), sides, (True,) * n)
+    _last_root = (curve, poly)
+    return poly
 
 
 def fundamental_polygon(curve: HyperellipticCurve) -> HyperbolicPolygon:
     """Ideal 4g-gon: the root polygon plus its reflection across the
-    first side, vertices counterclockwise from the first root.
+    first side, vertices counterclockwise from the first root. The root
+    polygon is `root_polygon`'s, kept from an earlier call on the same
+    curve object.
 
     Measured from the first side's mid-angle, root r_j sits at the angle
     t_j = (2j - 1) delta (delta = pi/n, r_n = r_0), and the reflection

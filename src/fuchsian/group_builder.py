@@ -32,7 +32,8 @@ from .moebius import (
     MoebiusMap,
     _DEGENERATE,
     _entries_class,
-    _product,
+    _left_products,
+    compose,
 )
 
 DET_TOL = 1e-12  # relative: see verify_group
@@ -89,19 +90,18 @@ def subgroup_generators(base: FuchsianGroupSpec, k: int = 1) -> FuchsianGroupSpe
 
     Product j is compose(T_k, T_j), with no normalization: the factors
     have determinant 1, so the product does too. Whether each product is
-    hyperbolic is for `verify_group` to report.
+    hyperbolic is for `verify_group` to report. All 2g products come from
+    one `_left_products` pass, which reads T_k's entries once.
     """
     if base.kind != "boundary":
         raise ValueError("subgroup construction needs the boundary group")
-    n = len(base.generators)
+    gens = base.generators
+    n = len(gens)
     if not 1 <= k <= n:
         raise ValueError(f"fixed index {k} outside 1..{n}")
-    fixed = base.generators[k - 1]
-    return FuchsianGroupSpec("surface", tuple(
-        MoebiusMap._make(*_product(fixed, gen))
-        for j, gen in enumerate(base.generators, start=1)
-        if j != k
-    ))
+    return FuchsianGroupSpec(
+        "surface", tuple(_left_products(gens[k - 1], gens[:k - 1] + gens[k:]))
+    )
 
 
 def verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
@@ -140,20 +140,18 @@ def verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
             if d == -a:
                 # Every half-turn has d == -a. Then a*b + b*(-a) and
                 # c*a + (-a)*c are exactly 0 and a*a + b*c equals
-                # c*b + (-a)*(-a), so _product(gen, gen) is (-det, 0; 0,
-                # -det): its residual max(|sq_a + 1|, ..., |sq_d + 1|) is
+                # c*b + (-a)*(-a), so compose(gen, gen) is (-det, 0; 0,
+                # -det): its residual max(|sq.a + 1|, ..., |sq.d + 1|) is
                 # |det - 1| and its determinant det*det, bit for bit.
                 if det * det == 0:
                     raise DegenerateMapError(_DEGENERATE)
                 inv_res = det_res
             else:
-                sq_a, sq_b, sq_c, sq_d = _product(gen, gen)
-                if sq_a * sq_d - sq_b * sq_c == 0:
-                    # compose's MoebiusMap._make rejected such a square
-                    # (e.g. det ~1e-200 underflows to 0 when squared)
-                    raise DegenerateMapError(_DEGENERATE)
+                # compose raises DegenerateMapError for a square whose
+                # determinant is zero (det ~1e-200 underflows when squared)
+                sq = compose(gen, gen)
                 inv_res = max(
-                    abs(sq_a + 1.0), abs(sq_b), abs(sq_c), abs(sq_d + 1.0)
+                    abs(sq.a + 1.0), abs(sq.b), abs(sq.c), abs(sq.d + 1.0)
                 )
             ok = (
                 det_ok

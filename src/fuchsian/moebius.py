@@ -19,8 +19,9 @@ MoebiusMap._make, which skips the coercion but keeps the
 zero-determinant check; there a zero determinant comes from the
 arithmetic (underflow, or cancellation in an ill-conditioned map), so it
 raises DegenerateMapError, a numerical breakdown. Callers that need a
-product or a normalized map without the map in between use the entry
-helpers _product and _normalized, which compose and normalize wrap.
+normalized map without the map in between use the entry helper
+_normalized, which normalize wraps; _left_products multiplies one map
+by many, and compose is it on one map.
 """
 
 from __future__ import annotations
@@ -154,19 +155,23 @@ IDENTITY = MoebiusMap(1, 0, 0, 1)
 
 def compose(m1: MoebiusMap, m2: MoebiusMap) -> MoebiusMap:
     """Matrix product m1*m2, realizing the composition m1 after m2."""
-    return MoebiusMap._make(*_product(m1, m2))
+    return _left_products(m1, (m2,))[0]
 
 
-def _product(
-    m1: MoebiusMap, m2: MoebiusMap
-) -> tuple[complex, complex, complex, complex]:
-    """The entries of compose(m1, m2), without building that map."""
-    return (
-        m1.a * m2.a + m1.b * m2.c,
-        m1.a * m2.b + m1.b * m2.d,
-        m1.c * m2.a + m1.d * m2.c,
-        m1.c * m2.b + m1.d * m2.d,
-    )
+def _left_products(m1: MoebiusMap, maps) -> list[MoebiusMap]:
+    """[compose(m1, m) for m in maps], reading m1's entries once: the
+    one place the matrix product is written."""
+    a1, b1, c1, d1 = m1.a, m1.b, m1.c, m1.d
+    make = MoebiusMap._make
+    return [
+        make(
+            a1 * m.a + b1 * m.c,
+            a1 * m.b + b1 * m.d,
+            c1 * m.a + d1 * m.c,
+            c1 * m.b + d1 * m.d,
+        )
+        for m in maps
+    ]
 
 
 def apply(m: MoebiusMap, z: Point) -> Point:

@@ -332,6 +332,36 @@ def test_verify_perturbation_hook_forces_failure(capsys):
     assert out.strip().splitlines()[-1].startswith("FAILED")
 
 
+def test_verify_fails_a_surface_product_off_the_determinant_bound(
+    monkeypatch, capsys
+):
+    # scaling the first row of one product by 1 + 1e-9 moves its
+    # determinant by 1e-9, far past the scaled 1e-12 bound at g <= 6,
+    # and leaves it hyperbolic
+    build = checks.subgroup_generators
+    bent = []
+
+    def bending(base, k=1):
+        spec = build(base, k)
+        if bent:
+            return spec
+        first, *rest = spec.generators
+        scale = 1.0 + 1e-9
+        bent.append(MoebiusMap(first.a * scale, first.b * scale, first.c, first.d))
+        return FuchsianGroupSpec(spec.kind, (bent[0], *rest))
+
+    monkeypatch.setattr(checks, "subgroup_generators", bending)
+    assert cli.main(["verify"]) == 1
+    report = verify_group(FuchsianGroupSpec("surface", (bent[0],)))
+    assert report.entries[0].map_class == "hyperbolic"
+    assert abs(report.entries[0].det_residual - 1e-9) < 1e-12
+    lines = capsys.readouterr().out.splitlines()
+    assert [l.split()[1] for l in lines if l.startswith("FAIL ")] == [
+        "products_hyperbolic"
+    ]
+    assert lines[-1] == "FAILED: 17/18 checks passed"
+
+
 def test_verify_large_perturbation_breaks_traces_too(capsys):
     assert cli.main(["verify", "--perturb", "0.5"]) == 1
     out = capsys.readouterr().out

@@ -3,20 +3,28 @@
 import cmath
 import math
 import random
+import sys
+import threading
+import time
 
 import pytest
 
+from fuchsian import cli, disk_geometry
+from fuchsian.curves import HyperellipticCurve
 from fuchsian.disk_geometry import (
     DegenerateGeodesicError,
     GeodesicArc,
     cross_ratio,
+    fundamental_polygon,
     geodesic_apex,
     geodesic_between,
     interior_angles,
     point_on_geodesic,
     polygon_area,
+    root_polygon,
     side_pairing_elliptic,
 )
+from fuchsian.group_builder import boundary_generators
 from fuchsian.moebius import INFINITY, MoebiusMap, apply, compose
 from oracles import polygon_from_vertices
 
@@ -238,6 +246,41 @@ def test_ideal_polygon_area_is_exact():
     assert polygon_area(poly) == 4 * math.pi
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_ideal_area_equals_the_per_vertex_angle_sum(sign):
+    for g in range(1, 42):
+        poly = fundamental_polygon(HyperellipticCurve(g, sign))
+        p = len(poly.vertices)
+        assert polygon_area(poly) == (p - 2) * math.pi - sum(interior_angles(poly))
+
+
+def count_angle_walks(monkeypatch) -> list:
+    walks = []
+    walk = disk_geometry.interior_angles
+
+    def counting(poly):
+        walks.append(poly)
+        return walk(poly)
+
+    monkeypatch.setattr(disk_geometry, "interior_angles", counting)
+    return walks
+
+
+def test_only_a_polygon_with_a_finite_vertex_walks_its_angles(monkeypatch):
+    walks = count_angle_walks(monkeypatch)
+    ideal = polygon_from_vertices([cmath.exp(2j * math.pi * k / 6) for k in range(6)])
+    assert polygon_area(ideal) == 4 * math.pi
+    assert walks == []
+    # one finite vertex among ideal ones, and all vertices finite
+    mixed = polygon_from_vertices([1, 1j, -1, 0.5 - 0.5j])
+    finite = polygon_from_vertices([0.8 * cmath.exp(2j * math.pi * k / 5) for k in range(5)])
+    for poly in (mixed, finite):
+        area = polygon_area(poly)
+        assert walks[-1] is poly
+        assert area == (len(poly.vertices) - 2) * math.pi - sum(interior_angles(poly))
+    assert len(walks) == 2
+
+
 def test_interior_angles_match_finite_difference_tangents():
     def walk(side: GeodesicArc, v: complex, eps: float) -> complex:
         e1, e2 = side.endpoints
@@ -309,3 +352,95 @@ def test_polygon_from_vertices_builds_closed_side_list():
     assert poly.sides[-1].endpoints == (-0.4j + 0, 0.5 + 0j)
     with pytest.raises(ValueError):
         polygon_from_vertices([0.1, 0.2])
+
+
+# --- root polygon cache ----------------------------------------------------
+
+
+def count_root_builds(monkeypatch) -> list:
+    """Record each root polygon build: each takes the curve's roots once."""
+    builds = []
+    roots = disk_geometry.roots
+
+    def counting(curve):
+        builds.append(curve)
+        return roots(curve)
+
+    monkeypatch.setattr(disk_geometry, "roots", counting)
+    return builds
+
+
+def test_the_same_curve_object_builds_its_root_polygon_once(monkeypatch):
+    builds = count_root_builds(monkeypatch)
+    curve = HyperellipticCurve(7, -1)
+    base = boundary_generators(curve)
+    poly = fundamental_polygon(curve)
+    assert root_polygon(curve).sides is base.sides
+    assert builds == [curve]
+    assert poly == fundamental_polygon(HyperellipticCurve(7, -1))
+
+
+def test_an_equal_but_distinct_curve_builds_again(monkeypatch):
+    builds = count_root_builds(monkeypatch)
+    first, twin = HyperellipticCurve(4, 1), HyperellipticCurve(4, 1)
+    assert first == twin and first is not twin
+    kept = root_polygon(first)
+    again = root_polygon(twin)
+    assert again == kept and again is not kept
+    assert [id(c) for c in builds] == [id(first), id(twin)]
+
+
+def test_a_raising_curve_still_raises_after_a_good_one_is_kept():
+    good = HyperellipticCurve(2, 1)
+    root_polygon(good)
+    # equal to `good` and hashing alike, but forged past validation: the
+    # cache compares identity, so roots() still sees the float genus
+    forged = tuple.__new__(HyperellipticCurve, (2.0, 1))
+    assert forged == good and hash(forged) == hash(good)
+    with pytest.raises(TypeError):
+        root_polygon(forged)
+    with pytest.raises(TypeError):
+        fundamental_polygon(forged)
+    assert root_polygon(good) == root_polygon(HyperellipticCurve(2, 1))
+
+
+def test_render_builds_its_root_polygon_once(monkeypatch):
+    builds = count_root_builds(monkeypatch)
+    curve = HyperellipticCurve(3, -1)
+    cli.render_svg(curve)
+    assert builds == [curve]
+
+
+def test_the_cache_holds_under_threads_switching_every_microsecond():
+    keys = [(g, sign) for g in (1, 2, 3, 5, 8, 13) for sign in (1, -1)]
+    polys = {key: fundamental_polygon(HyperellipticCurve(*key)) for key in keys}
+    sides = {key: boundary_generators(HyperellipticCurve(*key)).sides for key in keys}
+    errors = []
+    deadline = time.monotonic() + 1.5
+
+    def worker(offset: int) -> None:
+        try:
+            step = offset
+            while time.monotonic() < deadline:
+                key = keys[step % len(keys)]
+                step += 1
+                curve = HyperellipticCurve(*key)
+                if boundary_generators(curve).sides != sides[key]:
+                    errors.append(("sides", key))
+                if fundamental_polygon(curve) != polys[key]:
+                    errors.append(("polygon", key))
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []

@@ -73,7 +73,11 @@ def test_value_record_contract(cls, fields, changed, text):
     assert repr(record) == text
 
 
-@pytest.mark.parametrize("genus, sign", [(0, 1), (-3, -1), (2, 2), (2, 0)])
+@pytest.mark.parametrize("genus, sign", [
+    (0, 1), (-3, -1), (2, 2), (2, 0),
+    # equal to valid ints, but not ints: rejected before roots() sees them
+    (2.0, 1), (2.5, 1), (True, 1), (2, 1.0), (2, -1.0), (2, True),
+])
 def test_invalid_curve_raises_value_error_on_every_path(genus, sign):
     with pytest.raises(ValueError):
         HyperellipticCurve(genus, sign)
@@ -90,3 +94,16 @@ def test_invalid_curve_raises_value_error_on_every_path(genus, sign):
         with pytest.raises(ValueError):
             pickle.loads(data)
 
+
+
+def test_an_integer_like_genus_and_sign_are_stored_as_ints():
+    class Index:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    curve = HyperellipticCurve(Index(3), Index(-1))
+    assert curve == (3, -1)
+    assert type(curve.genus) is int and type(curve.sign) is int
