@@ -254,7 +254,7 @@ def test_ideal_area_equals_the_per_vertex_angle_sum(sign):
         assert polygon_area(poly) == (p - 2) * math.pi - sum(interior_angles(poly))
 
 
-def count_angle_walks(monkeypatch) -> list:
+def test_only_a_polygon_with_a_finite_vertex_walks_its_angles(monkeypatch):
     walks = []
     walk = disk_geometry.interior_angles
 
@@ -263,11 +263,6 @@ def count_angle_walks(monkeypatch) -> list:
         return walk(poly)
 
     monkeypatch.setattr(disk_geometry, "interior_angles", counting)
-    return walks
-
-
-def test_only_a_polygon_with_a_finite_vertex_walks_its_angles(monkeypatch):
-    walks = count_angle_walks(monkeypatch)
     ideal = polygon_from_vertices([cmath.exp(2j * math.pi * k / 6) for k in range(6)])
     assert polygon_area(ideal) == 4 * math.pi
     assert walks == []
