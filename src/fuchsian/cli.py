@@ -207,13 +207,16 @@ def run_genus(m: int, n: int) -> dict:
 
 
 def run_generators(g: int, sign: int, k: int = 1) -> dict:
-    from .curves import HyperellipticCurve, roots
+    from .curves import HyperellipticCurve
+    from .disk_geometry import root_polygon
     from .group_builder import boundary_generators, subgroup_generators, verify_group
 
     curve = HyperellipticCurve(g, sign)
-    rs = roots(curve)
-    n = len(rs)
     base = boundary_generators(curve)
+    # the polygon boundary_generators just built, kept: its vertices are
+    # the roots
+    rs = root_polygon(curve).vertices
+    n = len(rs)
     sub = subgroup_generators(base, k)
     rep_base = verify_group(base)
     rep_sub = verify_group(sub)

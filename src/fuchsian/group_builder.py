@@ -10,6 +10,13 @@ other one (the surface group). The 4g-sided ideal fundamental polygon is
 The boundary group keeps the root polygon's sides, so no reader builds a
 side again. Each product is the plain matrix product of two determinant-1
 half-turns, which is not normalized, and `verify_group` alone judges it.
+
+`verify_group` classifies each generator through the floating-point
+filter of `moebius` (x = (Re tr)^2 / Re det against 4 -+ 1e-7, behind
+guards on the determinant, the entry sizes and Im tr), inline in its
+own pass. Where the filter cannot decide, `moebius._entries_class`, the
+exact rule `classify` uses, does; the filter decides only where that
+rule must agree, so the verdicts are the same bits.
 """
 
 from __future__ import annotations
@@ -31,6 +38,12 @@ from .moebius import (
     MapClass,
     MoebiusMap,
     _DEGENERATE,
+    _DET_REAL_SNAP,
+    _FILTER_ELLIPTIC_BELOW,
+    _FILTER_HYPERBOLIC_ABOVE,
+    _FILTER_IMAG,
+    _FILTER_SIZE,
+    _INF,
     _entries_class,
     _left_products,
     compose,
@@ -111,8 +124,10 @@ def verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
     residual (max entrywise |T*T + I|) below 1e-8. surface kind: det 1
     and hyperbolic. det 1 is |det - 1| <= DET_TOL * max(1, |M|^2/2), as
     the rounding of a*d - b*c grows with |a||d| + |b||c|; the entry
-    reports the absolute |det - 1|. The report and its entries are
-    NamedTuples; the report passes when every entry does.
+    reports the absolute |det - 1|. The class is `classify`'s, decided
+    by the filter of `moebius` where it can and by `_entries_class`
+    elsewhere. The report and its entries are NamedTuples; the report
+    passes when every entry does.
     """
     kind = spec.kind
     boundary = kind == "boundary"
@@ -120,7 +135,9 @@ def verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
     passed = True
     for idx, gen in enumerate(spec.generators, start=1):
         a, b, c, d = gen.a, gen.b, gen.c, gen.d
-        det = a * d - b * c
+        ad = a * d
+        bc = b * c
+        det = ad - bc
         trace = a + d
         det_res = abs(det - 1.0)
         det_ok = det_res <= DET_TOL
@@ -129,13 +146,32 @@ def verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
             # step overflows: an overflowed determinant (inf) or a NaN fails
             norm = math.hypot(abs(a), abs(b), abs(c), abs(d))
             det_ok = det_res / norm <= DET_TOL * norm / 2
+        # the filter (see moebius): it leaves cls None where it cannot decide
+        cls = None
+        det_re = det.real
+        trace_im = trace.imag
         try:
-            cls = _entries_class(a, b, c, d, det)
-            # the member's value, read past Enum's `value` descriptor
-            cls_name = cls._value_
-        except ValueError:
-            cls = None
-            cls_name = "unclassifiable"
+            filtered = (
+                abs(det.imag) <= _DET_REAL_SNAP * det_re
+                and abs(ad) + abs(bc) < _FILTER_SIZE * det_re
+                and trace_im * trace_im < _FILTER_IMAG * det_re
+            )
+        except OverflowError:  # |ad| or |bc| past the float range
+            filtered = False
+        if filtered:
+            trace_re = trace.real
+            x = trace_re * trace_re / det_re
+            if x < _FILTER_ELLIPTIC_BELOW:
+                cls = _ELLIPTIC
+            elif _FILTER_HYPERBOLIC_ABOVE < x < _INF:
+                cls = _HYPERBOLIC
+        if cls is None:
+            try:
+                cls = _entries_class(a, b, c, d, det)
+            except ValueError:
+                pass
+        # the member's value, read past Enum's `value` descriptor
+        cls_name = "unclassifiable" if cls is None else cls._value_
         if boundary:
             if d == -a:
                 # Every half-turn has d == -a. Then a*b + b*(-a) and

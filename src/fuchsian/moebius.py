@@ -8,8 +8,14 @@ The point at infinity is a first-class value (INFINITY): cz + d = 0
 sends z to it, and it maps to a/c. Classification is by the trace of the
 determinant-1 normalization: |tr| < 2 elliptic, = 2 parabolic, > 2
 hyperbolic. Non-real normalized traces are rejected, since such maps are
-not isometries of the disk. That trace is computed from the quotients
-normalize would form, without building the normalized map.
+not isometries of the disk, and so are NaN or infinite ones. That trace
+is computed from the quotients normalize would form, without building
+the normalized map; _entries_class is the one home of that rule.
+group_builder.verify_group puts a floating-point filter in front of it:
+from (Re tr)^2 / Re det, with no square root or division by it, the
+filter decides a map's class only where an error bound (at the
+_FILTER_* constants below) proves that _entries_class gives the same
+class, and hands every other map to _entries_class.
 
 The public constructor MoebiusMap(a, b, c, d) validates: it coerces each
 entry to complex and rejects a zero determinant as bad input
@@ -37,6 +43,46 @@ CLASS_BOUNDARY_TOL = 1e-9
 # |Im det| below this fraction of |det| is rounding noise; snapping the
 # determinant to the real axis keeps the principal sqrt branch stable.
 _DET_REAL_SNAP = 1e-13
+
+# The floating-point filter that group_builder.verify_group runs before
+# _entries_class (Shewchuk's filter-and-fallback). For a map (a, b; c, d)
+# with ad = a*d, bc = b*c, det = ad - bc, tr = a + d and D = Re det, it
+# decides only when |Im det| <= _DET_REAL_SNAP * D, |ad| + |bc| <
+# _FILTER_SIZE * D (so D > 0) and (Im tr)^2 < _FILTER_IMAG * D. Then
+# x = (Re tr)^2 / D below _FILTER_ELLIPTIC_BELOW is elliptic and x in
+# (_FILTER_HYPERBOLIC_ABOVE, inf) hyperbolic; every other map, and a NaN
+# anywhere, goes to _entries_class. Where the filter decides,
+# _entries_class must give the same class. With u = 2^-53, K = _FILTER_SIZE
+# and tau = |Re tr| / sqrt(D) in exact arithmetic:
+# - D is the float _entries_class reads too: the snap condition holds, so
+#   its s = fl(sqrt(D)) is real and each quotient is one rounding.
+# - x = tau^2 (1 + e), |e| <= 4.1u (the sum, the square, the quotient).
+# - _entries_class's t = |Re(a/s) + Re(d/s)| is within 3.1u tau +
+#   u(|Re a| + |Re d|)/s of tau, and |Re a| + |Re d| <= |Re tr| +
+#   2 min(|a|, |d|) with min(|a|, |d|)^2 <= |a||d| <= K D (1 + 6u), so
+#   |t - tau| <= 3.1u tau + 2.1u sqrt(K), 2.4e-9 near tau = 2.
+# - x > 4 + 1e-7 gives tau >= 2 + 2.5e-8 - 1e-15, so t > 2 + 2.2e-8, past
+#   the parabolic band |t - 2| <= CLASS_BOUNDARY_TOL; x < 4 - 1e-7 gives
+#   t < 2 - 2.2e-8 the same way. The cut is 25 band widths out in x.
+# - The imaginary part of the normalized trace is at most
+#   sqrt(_FILTER_IMAG) (1 + 4u) + 2.1u sqrt(K) < 3.2e-7 < TRACE_IMAG_TOL.
+# - The normalized determinant differs from det / D (modulus 1 to 1e-13)
+#   by at most 8uK < 0.09: each quotient and product is rounded relative
+#   to |a||d| + |b||c| <= K D (1 + 6u), and so is fl(det) against the
+#   exact ad - bc. It is not zero, so no DegenerateMapError.
+# - A finite x keeps |a/s| and |d/s| below 1.4e154, so the normalized
+#   trace is finite.
+# - A rounding that underflows errs by up to 2^-1075 absolute: at most
+#   u D for a normal D. A subnormal D below 2.5e-311 rounds
+#   _FILTER_IMAG * D to 0, so the strict imaginary guard fails, and above
+#   it 2^-1075 < 1e-13 D, which leaves every bound above with room (the
+#   imaginary part stays below 5.5e-7).
+# K = 1e14 leaves a factor 10 on both of its bounds (2.4e-9 against the
+# 2.4e-8 margin, 0.09 against 1).
+_FILTER_SIZE = 1e14
+_FILTER_IMAG = TRACE_IMAG_TOL**2 / 10
+_FILTER_ELLIPTIC_BELOW = 4.0 - 100 * CLASS_BOUNDARY_TOL
+_FILTER_HYPERBOLIC_ABOVE = 4.0 + 100 * CLASS_BOUNDARY_TOL
 
 
 class _Infinity:
@@ -73,6 +119,7 @@ class DegenerateMapError(NumericalError, ValueError):
 
 
 _DEGENERATE = "degenerate map: determinant is zero"
+_INF = float("inf")
 
 
 class MoebiusMap:
@@ -241,7 +288,8 @@ def _entries_class(
     if a * d - (b / s) * (c / s) == 0:
         raise DegenerateMapError(_DEGENERATE)
     tr = a + d
-    if abs(tr.imag) > TRACE_IMAG_TOL:
+    # a NaN imaginary part fails the test too
+    if not abs(tr.imag) <= TRACE_IMAG_TOL:
         raise NonRealTraceError(
             f"normalized trace {tr:.6g} is not real: no isometry class"
         )
@@ -250,7 +298,11 @@ def _entries_class(
         return MapClass.PARABOLIC
     if t < 2.0:
         return MapClass.ELLIPTIC
-    return MapClass.HYPERBOLIC
+    if t < _INF:
+        return MapClass.HYPERBOLIC
+    raise NonRealTraceError(
+        f"normalized trace {tr:.6g} is not finite: no isometry class"
+    )
 
 
 def inverse(m: MoebiusMap) -> MoebiusMap:

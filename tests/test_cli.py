@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import json_reference
-from fuchsian import NumericalError, checks, cli, disk_geometry, whittaker
+from fuchsian import NumericalError, checks, cli, curves, disk_geometry, whittaker
 from fuchsian.curves import HyperellipticCurve
 from fuchsian.disk_geometry import DegenerateGeodesicError, geodesic_between
 from fuchsian.group_builder import FuchsianGroupSpec, verify_group
@@ -315,6 +315,25 @@ def test_generators_reads_each_apex_from_its_side(monkeypatch):
     cli.run_generators(41, -1, 83)
     # the midpoints are the apexes of the boundary group's closed-form sides
     assert calls == []
+
+
+def test_generators_takes_the_roots_once(monkeypatch):
+    calls = []
+    roots = curves.roots
+
+    def counting(curve):
+        calls.append(curve)
+        return roots(curve)
+
+    for module in (curves, disk_geometry):
+        monkeypatch.setattr(module, "roots", counting)
+    doc = cli.run_generators(5, -1, 1)
+    # the payload's roots are the vertices of the root polygon that the
+    # boundary group was built from, a hit on the kept polygon
+    assert len(calls) == 1
+    assert doc["roots"] == [
+        cli._cpair(z) for z in roots(HyperellipticCurve(5, -1))
+    ]
 
 
 def test_verify_reads_each_apex_from_its_side(monkeypatch):

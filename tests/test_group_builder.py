@@ -28,7 +28,14 @@ from fuchsian.disk_geometry import (
     polygon_area,
     side_pairing_elliptic,
 )
+from fuchsian import moebius
 from fuchsian.moebius import (
+    _DET_REAL_SNAP,
+    CLASS_BOUNDARY_TOL,
+    _FILTER_ELLIPTIC_BELOW,
+    _FILTER_HYPERBOLIC_ABOVE,
+    _FILTER_IMAG,
+    _FILTER_SIZE,
     DegenerateMapError,
     MapClass,
     MoebiusMap,
@@ -252,11 +259,32 @@ def test_maps_with_huge_entries_fail_without_raising():
     big = MoebiusMap(2.4e154, 0, 0, 0.6e154)
     # the determinant overflows too, so the residual is inf
     huge = MoebiusMap(1e160, 1e160, 1e-160, 1e160)
-    report = verify_group(FuchsianGroupSpec("surface", (big, huge)))
+    # a*d and b*c have finite parts but moduli past the float range, and
+    # det = 2e292: the filter's |ad| + |bc| must not raise OverflowError
+    a, d = complex(1.3e154, 0), complex(1.05e154, 1.05e154)
+    wide = MoebiusMap(a, a, complex(math.nextafter(d.real, 0), d.imag), d)
+    spec = FuchsianGroupSpec("surface", (big, huge, wide))
+    report = verify_group(spec)
     assert [e.map_class for e in report.entries] == [
-        "hyperbolic", "unclassifiable"
+        "hyperbolic", "unclassifiable", "unclassifiable"
     ]
     assert report.entries[1].det_residual == math.inf
+    assert not any(e.passed for e in report.entries)
+    assert report_outcome(verify_group, spec) == report_outcome(
+        reference_verify_group, spec
+    )
+
+
+def test_a_non_finite_entry_is_unclassifiable():
+    # a NaN normalized trace used to fall through every comparison of the
+    # class rule to "hyperbolic"; only the determinant failed the entry
+    maps = (
+        MoebiusMap(math.nan, 0, 0, 1),
+        MoebiusMap(math.inf, 0, 0, 1),
+        MoebiusMap(1e300, 0, 0, 1e-320),  # a/s overflows to inf
+    )
+    report = verify_group(FuchsianGroupSpec("surface", maps))
+    assert [e.map_class for e in report.entries] == ["unclassifiable"] * 3
     assert not any(e.passed for e in report.entries)
 
 
@@ -386,6 +414,145 @@ def test_a_trace_zero_map_whose_square_underflows_is_degenerate():
     spec = FuchsianGroupSpec("boundary", (MoebiusMap(1e-100, 0, 0, -1e-100),))
     assert outcome(verify_group, spec)[0] is DegenerateMapError
     assert outcome(reference_verify_group, spec)[0] is DegenerateMapError
+
+
+# verify_group classifies most maps through a floating-point filter (see
+# moebius) and the rest through the exact rule. The property below checks
+# it against the reference, which reads every class off the normalized
+# map, on surface specs whose maps straddle each of the filter's cuts:
+# x = (Re tr)^2 / Re det at 4 +- 1e-7 and at the parabolic band,
+# (Im tr)^2 at its bound, |ad| + |bc| at the size guard, Im det at the
+# snap bound, besides negative, complex, tiny and subnormal determinants
+# and the entries above.
+
+
+def near(value: float):
+    """value, or value moved by up to 1e-9 of itself either way."""
+    return st.sampled_from((0.0, 1e-9, -1e-9, 1e-12, -1e-12)).map(
+        lambda r: value * (1 + r)
+    )
+
+
+def near_one_of(*values: float):
+    return st.sampled_from(values).flatmap(near)
+
+
+@st.composite
+def filter_straddling_maps(draw) -> MoebiusMap | None:
+    """A map (a, b; c, d) with a + d = tr, x near a class cut or anywhere,
+    and one other guard near its cut with the rest inside theirs.
+
+    With b = 1, c = fl(a*d) - det differs from a*d by det exactly while
+    |a*d| < 2^53, so the map's determinant is det = (1, det_im) to
+    rounding (and its imaginary part exact when a*d is real); a power of
+    two moves a factor from b to c and scales the map without rounding.
+    None when the entries round to det 0.
+    """
+    guard = math.sqrt(_FILTER_SIZE / 2)  # |ad| + |bc| is about 2|w|^2
+    cut = draw(st.sampled_from(
+        ("none", "imag", "size", "snap", "floor", "wild", "diagonal")
+    ))
+    if cut == "diagonal":
+        # (a, 0; 0, d) over the whole exponent range: x overflows when
+        # |a/d| passes 2^1024, and the normalized trace when it passes 2^2048
+        e = draw(st.one_of(st.integers(-1074, 1023), st.sampled_from((996, 1023))))
+        f = draw(st.one_of(st.integers(-1074, 1023), st.sampled_from((-1063, -1074))))
+        a = draw(st.sampled_from((1.0, -1.0, 1j))) * 2.0**e
+        d = draw(st.sampled_from((1.0, 3.0, 1 + 1e-7))) * 2.0**f
+        return MoebiusMap(a, 0, 0, d) if a * d != 0 else None
+    det = 1.0 + 0j
+    y = draw(st.sampled_from((0.0, 1e-3 * _FILTER_IMAG)))  # (Im tr)^2 / det
+    w = draw(st.sampled_from((0.0, 1.0, 1e3, 0.5 * guard)))
+    phase = draw(st.sampled_from((0.0, 0.5, 1.0, draw(st.floats(-math.pi, math.pi)))))
+    det_scale = 0  # the map is scaled by 2^det_scale, its det by 4^det_scale
+    if cut == "imag":
+        y = draw(st.one_of(
+            near(_FILTER_IMAG), st.sampled_from((10 * _FILTER_IMAG, 1.0))
+        ))
+    elif cut == "size":
+        w = draw(st.one_of(
+            near(guard), st.sampled_from((0.9 * guard, 1.1 * guard, 1e9))
+        ))
+    elif cut == "snap":
+        # a real trace and a real w: a*d is real and det_im exact
+        y, phase = 0.0, draw(st.sampled_from((0.0, math.pi)))
+        det = complex(1.0, draw(st.one_of(
+            near(_DET_REAL_SNAP), st.sampled_from((1e-3, 1.0))
+        )) * draw(st.sampled_from((1.0, -1.0))))
+    elif cut == "floor":
+        # det from 4^-511, the least normal float, down to the least
+        # subnormal 4^-537; _FILTER_IMAG * det rounds to 0 below about
+        # 4^-516 = 2.7e-311
+        det_scale = draw(st.integers(-537, -511))
+    elif cut == "wild":
+        det = draw(st.sampled_from((-1.0 + 0j, 1e-3j, 1 - 1j, -1j)))
+        det_scale = draw(st.sampled_from((0, 100, 480, 510)))
+    x = draw(st.one_of(
+        near_one_of(
+            _FILTER_ELLIPTIC_BELOW, _FILTER_HYPERBOLIC_ABOVE,
+            4 - 4 * CLASS_BOUNDARY_TOL, 4 + 4 * CLASS_BOUNDARY_TOL, 4.0,
+        ),
+        st.floats(0.0, 100.0),
+        st.sampled_from((0.0, 1e-6, 1e300)),
+    ))
+    tr = complex(
+        draw(st.sampled_from((1.0, -1.0))) * math.sqrt(x),
+        draw(st.sampled_from((1.0, -1.0))) * math.sqrt(y),
+    )
+    w = w * cmath.exp(1j * phase) if phase else complex(w)
+    a, d = tr / 2 + w, tr / 2 - w
+    b, c = 1.0 + 0j, a * d - det
+    shift = 2.0 ** draw(st.integers(-20, 20))
+    lam = 2.0 ** det_scale
+    a, b, c, d = a * lam, b * shift * lam, c / shift * lam, d * lam
+    if a * d - b * c == 0:
+        return None
+    return MoebiusMap(a, b, c, d)
+
+
+@st.composite
+def straddling_surface_specs(draw) -> FuchsianGroupSpec:
+    maps = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 3)):
+            m = draw(filter_straddling_maps())
+        else:
+            a, b, c, d = (draw(entries) for _ in range(4))
+            m = MoebiusMap(a, b, c, d) if a * d - b * c != 0 else None
+        if m is not None:
+            maps.append(m)
+    return FuchsianGroupSpec("surface", tuple(maps))
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(straddling_surface_specs())
+# x overflows and so does a/s: the normalized trace is infinite
+@example(FuchsianGroupSpec("surface", (MoebiusMap(1e300, 0, 0, 1e-320),)))
+def test_the_class_filter_agrees_with_the_exact_rule(spec):
+    want = report_outcome(reference_verify_group, spec)
+    assert report_outcome(verify_group, spec) == want
+
+
+def test_verify_group_of_the_groups_takes_no_square_root(monkeypatch):
+    calls = []
+    det_root = moebius._det_root
+
+    def counting(det):
+        calls.append(det)
+        return det_root(det)
+
+    monkeypatch.setattr(moebius, "_det_root", counting)
+    for g in list(range(1, 42)) + [100]:
+        for sign in (1, -1):
+            base = boundary_generators(HyperellipticCurve(g, sign))
+            for spec in [base] + [
+                subgroup_generators(base, k) for k in sorted({1, g, 2 * g + 1})
+            ]:
+                assert verify_group(spec).passed
+    # the filter decided every entry: the exact rule never ran
+    assert calls == []
+    classify(base.generators[0])
+    assert len(calls) == 1
 
 
 def count_map_constructions(monkeypatch) -> list[str]:

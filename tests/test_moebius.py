@@ -2,6 +2,7 @@
 
 import cmath
 import copy
+import math
 import pickle
 import random
 
@@ -112,11 +113,15 @@ def reference_inverse(m: MoebiusMap) -> MoebiusMap:
 def reference_classify(m: MoebiusMap) -> MapClass:
     """The classification read off the normalized map that normalize builds."""
     tr = reference_normalize(m).trace
-    if abs(tr.imag) > TRACE_IMAG_TOL:
+    if not abs(tr.imag) <= TRACE_IMAG_TOL:
         raise NonRealTraceError(
             f"normalized trace {tr:.6g} is not real: no isometry class"
         )
     t = abs(tr.real)
+    if not math.isfinite(t):
+        raise NonRealTraceError(
+            f"normalized trace {tr:.6g} is not finite: no isometry class"
+        )
     if abs(t - 2.0) <= CLASS_BOUNDARY_TOL:
         return MapClass.PARABOLIC
     if t < 2.0:
@@ -197,6 +202,23 @@ def test_classify_matches_the_normalized_map_trace_exactly():
         assert got == want
         seen.add(want if isinstance(want, MapClass) else want[0])
     assert seen == set(MapClass) | {NonRealTraceError, DegenerateMapError}
+
+
+def test_a_non_finite_normalized_trace_is_a_numerical_breakdown():
+    # a NaN normalized trace fails every comparison of the class rule and
+    # an infinite one exceeds 2: both used to read as hyperbolic
+    overflowing = MoebiusMap(1e300, 0, 0, 1e-320)  # a/s overflows to inf
+    for m in (
+        MoebiusMap(math.nan, 0, 0, 1),
+        MoebiusMap(math.inf, 0, 0, 1),
+        MoebiusMap(1, 0, 0, complex(2, math.nan)),
+        overflowing,
+    ):
+        with pytest.raises(NonRealTraceError):
+            classify(m)
+        assert outcome(classify, m) == outcome(reference_classify, m)
+    with pytest.raises(NonRealTraceError, match="inf.* is not finite"):
+        classify(overflowing)
 
 
 def test_ill_conditioned_maps_are_a_numerical_breakdown():
