@@ -27,7 +27,6 @@ from __future__ import annotations
 # that way), and only the commands that build groups (`generators`,
 # `verify`) pay for importing `dataclasses`. The verify records are
 # NamedTuples; verify_group builds each entry with `tuple.__new__`.
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -122,8 +121,9 @@ def verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
 
     boundary kind: det 1, trace 0 (1e-8), elliptic, involution
     residual (max entrywise |T*T + I|) below 1e-8. surface kind: det 1
-    and hyperbolic. det 1 is |det - 1| <= DET_TOL * max(1, |M|^2/2), as
-    the rounding of a*d - b*c grows with |a||d| + |b||c|; the entry
+    and hyperbolic. det 1 is |det - 1| <= DET_TOL * max(1, |a||d| +
+    |b||c|), the size of the rounding of a*d - b*c, which the filter
+    reads too; a size or residual past the float range fails. The entry
     reports the absolute |det - 1|. The class is `classify`'s, decided
     by the filter of `moebius` where it can and by `_entries_class`
     elsewhere. The report and its entries are NamedTuples; the report
@@ -139,26 +139,26 @@ def verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
         bc = b * c
         det = ad - bc
         trace = a + d
-        det_res = abs(det - 1.0)
-        det_ok = det_res <= DET_TOL
-        if not det_ok:
-            # det_res <= DET_TOL * |M|^2/2, divided through by |M| so no
-            # step overflows: an overflowed determinant (inf) or a NaN fails
-            norm = math.hypot(abs(a), abs(b), abs(c), abs(d))
-            det_ok = det_res / norm <= DET_TOL * norm / 2
+        # abs() of a complex with finite parts raises past 1.8e308; such a
+        # modulus reads inf, and a bound scaled by it fails
+        try:
+            size = abs(ad) + abs(bc)
+        except OverflowError:
+            size = _INF
+        try:
+            det_res = abs(det - 1.0)
+        except OverflowError:
+            det_res = _INF
+        det_ok = det_res <= DET_TOL or det_res <= DET_TOL * size < _INF
         # the filter (see moebius): it leaves cls None where it cannot decide
         cls = None
         det_re = det.real
         trace_im = trace.imag
-        try:
-            filtered = (
-                abs(det.imag) <= _DET_REAL_SNAP * det_re
-                and abs(ad) + abs(bc) < _FILTER_SIZE * det_re
-                and trace_im * trace_im < _FILTER_IMAG * det_re
-            )
-        except OverflowError:  # |ad| or |bc| past the float range
-            filtered = False
-        if filtered:
+        if (
+            abs(det.imag) <= _DET_REAL_SNAP * det_re
+            and size < _FILTER_SIZE * det_re
+            and trace_im * trace_im < _FILTER_IMAG * det_re
+        ):
             trace_re = trace.real
             x = trace_re * trace_re / det_re
             if x < _FILTER_ELLIPTIC_BELOW:
@@ -186,13 +186,18 @@ def verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
                 # compose raises DegenerateMapError for a square whose
                 # determinant is zero (det ~1e-200 underflows when squared)
                 sq = compose(gen, gen)
-                inv_res = max(
-                    abs(sq.a + 1.0), abs(sq.b), abs(sq.c), abs(sq.d + 1.0)
-                )
+                try:
+                    inv_res = max(
+                        abs(sq.a + 1.0), abs(sq.b), abs(sq.c), abs(sq.d + 1.0)
+                    )
+                except OverflowError:  # a modulus past the float range
+                    inv_res = _INF
+            # an elliptic class bounds |trace| by 2 sqrt|det|, so abs()
+            # cannot overflow once it holds
             ok = (
                 det_ok
-                and abs(trace) <= TRACE_TOL
                 and cls is _ELLIPTIC
+                and abs(trace) <= TRACE_TOL
                 and inv_res <= INVOLUTION_TOL
             )
         else:

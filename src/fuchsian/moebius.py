@@ -257,7 +257,13 @@ def _normalized(a: complex, b: complex, c: complex, d: complex) -> MoebiusMap:
 
 def _det_root(det: complex) -> complex:
     """The principal square root of det that normalize divides by."""
-    if abs(det.imag) <= _DET_REAL_SNAP * abs(det):
+    try:
+        snap = abs(det.imag) <= _DET_REAL_SNAP * abs(det)
+    except OverflowError:
+        # finite parts with a modulus past 1.8e308: to snap, the real part
+        # would have to pass it too
+        snap = False
+    if snap:
         det = complex(det.real, 0.0)
     return cmath.sqrt(det)
 

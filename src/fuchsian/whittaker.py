@@ -2,7 +2,9 @@
 
 For a genus-g curve y^2 = z^(2g+1) + sign put a = 1/(2g+1). The quotient
 of two solutions of the uniformizing equation is governed by the Gauss
-hypergeometric function with parameters ((g-1)a, ga; 2ga). Transporting
+hypergeometric function with parameters ((g-1)a, ga; 2ga), which
+hyp2f1 sums through the quadratic transformation of F(alpha, beta;
+2 beta; z) wherever its argument (z/(2-z))^2 is the smallest. Transporting
 the local solution quotient from z = 0 to z = 1 is a Moebius map whose
 matrix is built from ratios of Gamma values (math.gamma, see gamma_fn);
 a closed trigonometric form of the same map exists, and the two must
@@ -27,8 +29,9 @@ from .moebius import MoebiusMap, compose
 SERIES_CONSECUTIVE = 3
 SERIES_MAX_TERMS = 100000
 # hyp2f1 sums the Taylor series about (1 +- i)/2 where the smallest of
-# |z|, |z/(z-1)| and |1-z| exceeds this: near e^(+-i pi/3) each is close
-# to 1 and its series would need up to the whole term budget
+# |z|, |z/(z-1)| and |1-z| exceeds this and gamma != 2 beta: near
+# e^(+-i pi/3) each is close to 1 and its series would need up to the
+# whole term budget
 TAYLOR_MIN_MODULUS = 0.88
 
 
@@ -156,7 +159,13 @@ def hyp2f1(alpha: float, beta: float, gamma: float, z: complex) -> complex:
     """Gauss hypergeometric function F(alpha, beta; gamma; z).
 
     For |z| < 1 it sums the series whose argument has the smallest
-    modulus among three representations (DLMF 15.8):
+    modulus among four representations (DLMF 15.8):
+    - zeta = (z/(2-z))^2, the quadratic transformation (15.8.13) of a
+      triple with gamma == 2 * beta, as every hde_params triple has:
+      (1-z/2)^(-alpha) F(alpha/2, alpha/2 + 1/2; beta + 1/2; zeta).
+      It is tried first, and only for the second parameter: the
+      swapped F(beta, alpha; gamma; z) takes another sum. |zeta| is
+      1/3 at e^(+-i pi/3) and nears 1 only as z nears 1;
     - z itself, the Maclaurin series;
     - w = z/(z-1), Pfaff's transformation (15.8.1):
       (1-z)^(-alpha) F(alpha, gamma-beta; gamma; w);
@@ -168,14 +177,15 @@ def hyp2f1(alpha: float, beta: float, gamma: float, z: complex) -> complex:
     The 1 - 1/z form (15.8.5) is never a candidate: inside the disk
     |1 - 1/z| = |1 - z|/|z| exceeds |1 - z|. The smallest of |z|, |w|
     and |1 - z| nears 1 only as z nears e^(+-i pi/3) on the circle.
-    Where it exceeds TAYLOR_MIN_MODULUS, hyp2f1 sums instead the Taylor
-    series about (1 +- i)/2 (_taylor_sum): there it needs at most about
-    80 terms after two seed series of about 110 terms each, so the term
-    budget is not reached near those two points. A triple that cannot
-    take the connection formula still runs out of its term budget
-    (SeriesNotConvergedError, naming the sum and its argument modulus)
-    close to the arc |1 - z| <= 1 near z = 1, where it sums the
-    Maclaurin series with |z| near 1.
+    Where it exceeds TAYLOR_MIN_MODULUS and the quadratic series does
+    not apply, hyp2f1 sums instead the Taylor series about (1 +- i)/2
+    (_taylor_sum): there it needs at most about 80 terms after two seed
+    series of about 110 terms each, so the term budget is not reached
+    near those two points. A triple that cannot take the connection
+    formula still runs out of its term budget (SeriesNotConvergedError,
+    naming the sum and its argument modulus) close to the arc
+    |1 - z| <= 1 near z = 1, where it sums the Maclaurin series with
+    |z| near 1.
 
     z = 1 uses the Gauss summation Gamma(gamma) Gamma(gamma-alpha-beta)
     / (Gamma(gamma-alpha) Gamma(gamma-beta)), which needs
@@ -206,7 +216,20 @@ def hyp2f1(alpha: float, beta: float, gamma: float, z: complex) -> complex:
     # n^(gamma-2) |1-z|^n, which grow before they decay for gamma > 2
     # (1.2e-9 at F(3, 3; 6.5; 0.99 e^(-0.9i))).
     mod_z, mod_w, mod_1z = abs(z), abs(w), abs(1 - z)
-    if min(mod_z, mod_w, mod_1z) > TAYLOR_MIN_MODULUS:
+    smallest = min(mod_z, mod_w, mod_1z)
+    if gamma == 2 * beta:
+        # 15.8.13, on the second parameter only (see above)
+        q = z / (2 - z)
+        zeta = q * q
+        if abs(zeta) < smallest:
+            return (1 - 0.5 * z) ** -alpha * _series(
+                0.5 * alpha,
+                0.5 * alpha + 0.5,
+                beta + 0.5,
+                zeta,
+                "quadratic series in (z/(2-z))^2",
+            )
+    if smallest > TAYLOR_MIN_MODULUS:
         return _taylor_sum(alpha, beta, gamma, z)
     if (
         mod_1z < min(mod_z, mod_w)

@@ -269,9 +269,12 @@ def test_verify_evaluates_the_continuation_constants_once_per_sweep(monkeypatch)
     # call for the Gauss-summation limit, one for the whole 20-point
     # sweep, and one per hyp2f1 call that takes the 1 - z connection.
     # 9 of the 50 hypergeometric_properties points lie nearer to 1 than
-    # to 0 and to z/(z-1); at each, 4 of the 6 hyp2f1 calls connect: the
-    # reduction F(alpha, beta; beta; z) has Gamma(0), and the contiguous
-    # F(alpha, beta; gamma + 1; z) has gamma + 1 - alpha - beta = 1.2 > 0.99
+    # to 0 and to z/(z-1); at each, 4 of the 6 hyp2f1 calls may connect:
+    # the reduction F(alpha, beta; beta; z) has Gamma(0), and the
+    # contiguous F(alpha, beta; gamma + 1; z) has gamma + 1 - alpha - beta
+    # = 1.2 > 0.99. Two of the four, F(0.2, 0.4; 0.8; z) and Euler's
+    # F(0.6, 0.4; 0.8; z), have gamma = 2 beta, and at 3 of the 9 points
+    # (z/(2-z))^2 is smaller than 1 - z, so they take the quadratic sum
     calls = []
     gamma_fn = whittaker.gamma_fn
 
@@ -281,7 +284,7 @@ def test_verify_evaluates_the_continuation_constants_once_per_sweep(monkeypatch)
 
     monkeypatch.setattr(whittaker, "gamma_fn", counting)
     assert cli.run_verify()[0] == 0
-    assert len(calls) == 4 * 8 + 5 * 4 + 2 * 7 + 9 * 4 * 7
+    assert len(calls) == 4 * 8 + 5 * 4 + 2 * 7 + (9 * 4 - 3 * 2) * 7
 
 
 def count_geodesic_solves(monkeypatch) -> list:

@@ -36,11 +36,11 @@ GOLDEN_STDOUT = {
     ("whittaker", "--genus", "80"): (
         "840631472a887a5a4ed53feb231f7fd3d9a353e165f9738015bd9b1fd90611e8", 0),
     ("verify",): (
-        "d166691b954b3414307cf064c1a47e18bc815e58f432f2f21711b1dfd93e9b07", 0),
+        "d1021c722f4ffbd00950ac6c3607899b69e426d4b2b8389c94705d71dbf25c0f", 0),
     ("verify", "--perturb", "1e-2"): (
-        "5e07848260e806723beaaaa7c8705e730ec8f95240bd1ee7f1d528e868815e6e", 1),
+        "bd882f89780db4c2d2e3b64988071586e867793a3765e24a51a3498dd11a2ea9", 1),
     ("verify", "--perturb", "0.5"): (
-        "552a325af4b70f99e329b8a48babe094b639532668115858b301d2de4f673698", 1),
+        "11a99044cd62df9598693b517c4016c3c49c16474dbef5b78fc65d1f43cdc1dd", 1),
     ("genus", "5", "7"): (
         "5f9ae88ae06cf2167140d81ab5ea2d0b2077ddf022c8ab13b7a6703941338339", 0),
     ("tessellation", "--degree", "9", "--genus", "4"): (

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -255,7 +256,8 @@ def test_a_relative_bend_of_one_product_entry_fails(g):
 
 def test_maps_with_huge_entries_fail_without_raising():
     # |M|^2 overflows, so a bound computed as DET_TOL * |M|^2/2 would be
-    # inf and pass the finite residual 1.44e308
+    # inf and pass the finite residual 1.44e308; |a||d| + |b||c| is
+    # 1.44e308 itself
     big = MoebiusMap(2.4e154, 0, 0, 0.6e154)
     # the determinant overflows too, so the residual is inf
     huge = MoebiusMap(1e160, 1e160, 1e-160, 1e160)
@@ -275,6 +277,37 @@ def test_maps_with_huge_entries_fail_without_raising():
     )
 
 
+def test_an_unbalanced_map_with_determinant_two_fails():
+    # |a||d| + |b||c| = 2 scales the determinant bound; |M|^2/2 = 5e13
+    # did, and passed this det = 2 as rounding
+    m = MoebiusMap(1e7, 0, 0, 2e-7)
+    report = verify_group(FuchsianGroupSpec("surface", (m,)))
+    (entry,) = report.entries
+    assert (entry.det_residual, entry.map_class) == (1.0, "hyperbolic")
+    assert not report.passed
+
+
+def test_a_determinant_past_the_float_range_fails_without_raising():
+    # finite entries whose determinant, 1.365e308 (1 + i), has a modulus
+    # past the float range: |det - 1| reads inf and the class is
+    # unclassifiable (abs() raised OverflowError in both). The second
+    # boundary map's square has such an entry, so its involution residual
+    # reads inf, and the third has det 1 and such a trace
+    wide = MoebiusMap(1.3e154, 0, 0, 1.05e154 + 1.05e154j)
+    square_past = MoebiusMap(1.414e154 * cmath.exp(1j * math.pi / 8), 0, 0, 1)
+    a, d = complex(1.5e308, 1.5e308), 1e-300
+    trace_past = MoebiusMap(a, 1, a * d - 1, d)
+    boundary = (wide, square_past, trace_past)
+    for kind, maps in (("surface", (wide,)), ("boundary", boundary)):
+        report = verify_group(FuchsianGroupSpec(kind, maps))
+        assert report.entries[0].det_residual == math.inf
+        assert report.entries[0].map_class == "unclassifiable"
+        assert not any(e.passed for e in report.entries)
+    assert report.entries[1].involution_residual == math.inf
+    assert report.entries[2].det_residual == 0
+    assert report.entries[2].map_class == "unclassifiable"
+
+
 def test_a_non_finite_entry_is_unclassifiable():
     # a NaN normalized trace used to fall through every comparison of the
     # class rule to "hyperbolic"; only the determinant failed the entry
@@ -289,14 +322,26 @@ def test_a_non_finite_entry_is_unclassifiable():
 
 
 def reference_det_ok(gen: MoebiusMap, det_res: float) -> bool:
-    """|det - 1| <= DET_TOL * max(1, |M|^2/2), in exact rationals."""
+    """|det - 1| <= DET_TOL * max(1, S) with S = |a||d| + |b||c|, in exact
+    rationals; an S past the largest float fails."""
     if not math.isfinite(det_res):
         return False
-    norm2 = sum(
-        Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
-        for z in (gen.a, gen.b, gen.c, gen.d)
-    )
-    return Fraction(det_res) <= Fraction(DET_TOL) * max(1, norm2 / 2)
+
+    def mod2(z: complex) -> Fraction:
+        return Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+
+    x = mod2(gen.a) * mod2(gen.d)
+    y = mod2(gen.b) * mod2(gen.c)
+
+    def size_below(t: Fraction) -> bool:
+        # sqrt(x) + sqrt(y) < t  <=>  2 sqrt(xy) < t^2 - x - y, squared
+        rest = t * t - x - y
+        return rest > 0 and 4 * x * y < rest * rest
+
+    if not size_below(Fraction(sys.float_info.max)):
+        return False
+    ratio = Fraction(det_res) / Fraction(DET_TOL)
+    return ratio <= 1 or not size_below(ratio)
 
 
 def reference_verify_group(spec: FuchsianGroupSpec) -> VerifyReport:

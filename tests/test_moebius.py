@@ -221,6 +221,20 @@ def test_a_non_finite_normalized_trace_is_a_numerical_breakdown():
         classify(overflowing)
 
 
+def test_a_determinant_past_the_float_range_is_a_numerical_breakdown():
+    # det = 1.365e308 (1 + i) has finite parts, but abs(det) raised
+    # OverflowError in the snap test of the determinant's square root.
+    # Such a determinant cannot snap to the real axis, the map normalizes,
+    # and its normalized trace is not real
+    m = MoebiusMap(1.3e154, 0, 0, 1.05e154 + 1.05e154j)
+    assert math.isfinite(m.det.real) and math.isfinite(m.det.imag)
+    with pytest.raises(OverflowError):
+        abs(m.det)
+    with pytest.raises(NonRealTraceError, match="is not real"):
+        classify(m)
+    assert abs(normalize(m).det - 1.0) < 1e-12
+
+
 def test_ill_conditioned_maps_are_a_numerical_breakdown():
     # not degenerate (|det| of order 1 against entries ~1e8), but
     # normalizing rounds the determinant to 0

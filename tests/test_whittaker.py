@@ -113,17 +113,36 @@ HARD_POINT = (1 - 1e-5) * cmath.exp(1j * math.pi / 3)
 def test_hyp2f1_term_budget_exhaustion_is_numerical(monkeypatch):
     # running out of terms is a numerical breakdown, not bad input, and
     # the error names the sum that ran out and its argument modulus; a
-    # domain error stays a plain ValueError
+    # domain error stays a plain ValueError. (0.2, 0.4, 0.9) has gamma !=
+    # 2 beta, so it reaches the four sums the quadratic one does not take
+    # over; the genus-2 triple (0.2, 0.4, 0.8) = hde_params(2) takes the
+    # quadratic sum at z = 0.5, where (z/(2-z))^2 = 1/9
     monkeypatch.setattr(whittaker, "SERIES_MAX_TERMS", 5)
-    for z, sum_name, modulus in (
-        (0.5, "Maclaurin series in z", "0.5"),
-        (-0.9, "Pfaff series in z/(z-1)", "0.473684211"),
-        (0.9, "DLMF 15.8.4 sum in 1-z", "0.1"),
-        (HARD_POINT, "Taylor series about z0 = (0.5+0.5j), seed", "0.707106781"),
-        (HARD_POINT.conjugate(), "about z0 = (0.5-0.5j), seed", "0.707106781"),
+    for triple, z, sum_name, modulus in (
+        ((0.2, 0.4, 0.9), 0.5, "Maclaurin series in z", "0.5"),
+        ((0.2, 0.4, 0.9), -0.9, "Pfaff series in z/(z-1)", "0.473684211"),
+        ((0.2, 0.4, 0.9), 0.9, "DLMF 15.8.4 sum in 1-z", "0.1"),
+        (
+            (0.2, 0.4, 0.9),
+            HARD_POINT,
+            "Taylor series about z0 = (0.5+0.5j), seed",
+            "0.707106781",
+        ),
+        (
+            (0.2, 0.4, 0.9),
+            HARD_POINT.conjugate(),
+            "about z0 = (0.5-0.5j), seed",
+            "0.707106781",
+        ),
+        (
+            tuple(hde_params(2))[:3],
+            0.5,
+            "quadratic series in (z/(2-z))^2",
+            "0.111111111",
+        ),
     ):
         with pytest.raises(SeriesNotConvergedError, match="in 5 terms") as failure:
-            hyp2f1(0.2, 0.4, 0.8, z)
+            hyp2f1(*triple, z)
         assert sum_name in str(failure.value)
         assert f"(argument modulus {modulus})" in str(failure.value)
     with pytest.raises(ValueError) as domain:
@@ -172,25 +191,115 @@ def test_an_alternating_sum_near_the_negative_real_axis_keeps_its_digits():
 
 
 # the most terms any one sum takes over the grid below, and that plus 10%
-BUDGET_GRID_MOST_TERMS = 250
-BUDGET_GRID_TERMS = 275
+BUDGET_GRID_MOST_TERMS = 64
+BUDGET_GRID_TERMS = 70
 
 
-def test_every_sum_of_the_workload_region_fits_a_tight_term_budget(monkeypatch):
-    # the benchmark's hyp2f1 region: genus triples for g = 2..1000 and
-    # 1e-3 <= 1 - |z| <= 1, on a log-spaced grid at 72 angles. Each sum
-    # (series, seed series or Taylor recurrence) has its own budget, and
-    # the largest one needs BUDGET_GRID_MOST_TERMS terms: a stop rule that
-    # keeps summing long after the partial sum has stopped moving fails
-    monkeypatch.setattr(whittaker, "SERIES_MAX_TERMS", BUDGET_GRID_TERMS)
+def budget_grid():
+    """The benchmark's hyp2f1 region: genus triples for g = 2..1000 and
+    1e-3 <= 1 - |z| <= 1, on a log-spaced grid at 72 angles."""
     genera = sorted({round(2 * 500 ** (i / 7)) for i in range(8)})
     gaps = [1e-3 * 1000 ** (i / 9) for i in range(10)]
     for g in genera:
         p = hde_params(g)
         for gap in gaps:
             for k in range(72):
-                z = (1 - gap) * cmath.exp(2j * math.pi * k / 72)
-                assert cmath.isfinite(hyp2f1(p.alpha, p.beta, p.gamma, z))
+                yield p, (1 - gap) * cmath.exp(2j * math.pi * k / 72)
+
+
+def test_every_sum_of_the_workload_region_fits_a_tight_term_budget(monkeypatch):
+    # each sum (series or connection) has its own budget, and the largest
+    # one needs BUDGET_GRID_MOST_TERMS terms: a stop rule that keeps
+    # summing long after the partial sum has stopped moving fails. The
+    # quadratic series in (z/(2-z))^2 has argument modulus at most 1/3
+    # near e^(+-i pi/3), where every other sum needed up to 250 terms
+    monkeypatch.setattr(whittaker, "SERIES_MAX_TERMS", BUDGET_GRID_TERMS)
+    for p, z in budget_grid():
+        assert cmath.isfinite(hyp2f1(p.alpha, p.beta, p.gamma, z))
+
+
+def test_genus_triples_never_reach_the_taylor_sum(monkeypatch):
+    # gamma = 2 beta holds bit for bit for every genus triple, and where
+    # the Taylor series about (1 +- i)/2 would be summed the quadratic
+    # series has the smaller argument
+    def unreachable(*args):
+        raise AssertionError(f"Taylor sum reached at {args}")
+
+    monkeypatch.setattr(whittaker, "_taylor_sum", unreachable)
+    for p, z in budget_grid():
+        assert p.gamma == 2 * p.beta
+        hyp2f1(p.alpha, p.beta, p.gamma, z)
+
+
+QUADRATIC = "quadratic series in (z/(2-z))^2"
+
+
+def sums_taken(monkeypatch) -> list:
+    """Record the name of every series hyp2f1 sums from now on."""
+    names = []
+    series = whittaker._series
+
+    def recording(alpha, beta, gamma, z, name="Maclaurin series in z"):
+        names.append(name)
+        return series(alpha, beta, gamma, z, name)
+
+    monkeypatch.setattr(whittaker, "_series", recording)
+    return names
+
+
+QUADRATIC_RADII = (0.3, 0.6, 0.9, 0.99, 0.999, 1 - 1e-6, 1 - 1e-9)
+QUADRATIC_ANGLES = [2 * math.pi * k / 24 for k in range(24)] + [
+    s * math.pi / 3 + d for s in (1, -1) for d in (0.0, -0.1, 0.1)
+]
+
+
+@pytest.mark.parametrize("g", [2, 3, 5, 41, 1000, 3000])
+def test_the_quadratic_sum_matches_mpmath(g, monkeypatch):
+    # DLMF 15.8.13: F(alpha, beta; 2 beta; z) = (1 - z/2)^(-alpha)
+    # F(alpha/2, alpha/2 + 1/2; beta + 1/2; (z/(2-z))^2). Every point
+    # where hyp2f1 takes it, e^(+-i pi/3) included, is within 4e-15
+    # relative (8.0e-16 at most when written)
+    p = hde_params(g)
+    names = sums_taken(monkeypatch)
+    taken = 0
+    for r in QUADRATIC_RADII:
+        for theta in QUADRATIC_ANGLES:
+            z = r * cmath.exp(1j * theta)
+            names.clear()
+            got = hyp2f1(p.alpha, p.beta, p.gamma, z)
+            if names != [QUADRATIC]:
+                # only near z = 1, where 1 - z is the smaller argument
+                assert abs(1 - z) < 0.7
+                continue
+            taken += 1
+            with mpmath.workdps(30):
+                want = complex(mpmath.hyp2f1(p.alpha, p.beta, p.gamma, z))
+            assert abs(got - want) <= 4e-15 * abs(want)
+    # every radius at the hard angles, and most points overall
+    assert taken >= 0.8 * len(QUADRATIC_RADII) * len(QUADRATIC_ANGLES)
+    for sign in (1, -1):
+        for r in QUADRATIC_RADII:
+            names.clear()
+            hyp2f1(p.alpha, p.beta, p.gamma, r * cmath.exp(sign * 1j * math.pi / 3))
+            assert names == [QUADRATIC]
+
+
+def test_the_swapped_triple_of_the_symmetry_check_takes_another_sum(monkeypatch):
+    # verify's symmetry line compares F(alpha, beta; gamma; z) with
+    # F(beta, alpha; gamma; z). Only the first has gamma = 2 beta, so the
+    # two sides take different sums and the line does not read 0 by
+    # comparing one sum with itself
+    p = hde_params(2)
+    names = sums_taken(monkeypatch)
+    for z in (0.5, -0.5, 0.3j, 0.8 * cmath.exp(1j * math.pi / 3)):
+        names.clear()
+        f = hyp2f1(p.alpha, p.beta, p.gamma, z)
+        assert names == [QUADRATIC]
+        names.clear()
+        swapped = hyp2f1(p.beta, p.alpha, p.gamma, z)
+        assert names and QUADRATIC not in names
+        assert f != swapped
+        assert abs(f - swapped) <= 1e-14 * abs(f)
 
 
 # radii where hyp2f1 routes through a transformation, and angles around
@@ -216,6 +325,30 @@ def test_hyp2f1_polynomial_when_alpha_is_negative_integer():
             want = 1 - 2 * b * z / c + b * (b + 1) * z * z / (c * (c + 1))
             assert abs(hyp2f1(-2, b, c, z) - want) < 1e-14
             assert abs(hyp2f1(b, -2, c, z) - want) < 1e-14
+
+
+def test_a_terminating_quadratic_triple_equals_its_polynomial(monkeypatch):
+    # F(-2, b; 2b; z) = 1 - z + (b + 1) z^2 / (2 (2b + 1)); its quadratic
+    # series F(-1, -1/2; b + 1/2; zeta) ends at its zero second term, so a
+    # budget of 2 terms is enough
+    monkeypatch.setattr(whittaker, "SERIES_MAX_TERMS", 2)
+    names = sums_taken(monkeypatch)
+    points = (0.2, -0.5, 0.5j, *disk_points())
+    taken = 0
+    for b in (0.4, 0.7, hde_params(41).beta):
+        for z in points:
+            names.clear()
+            try:
+                got = hyp2f1(-2, b, 2 * b, z)
+            except SeriesNotConvergedError:
+                # the Maclaurin and Pfaff polynomials take 3 terms
+                assert QUADRATIC not in names
+                continue
+            assert names == [QUADRATIC]
+            taken += 1
+            want = 1 - z + (b + 1) * z * z / (2 * (2 * b + 1))
+            assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+    assert taken >= 0.8 * 3 * len(points)
 
 
 def test_hyp2f1_reduction_with_gamma_equal_to_beta_over_the_disk():
