@@ -419,7 +419,9 @@ def test_hyp2f1_matches_mpmath_over_the_disk(a, b, c):
 def test_hyp2f1_matches_mpmath_where_every_series_argument_is_near_one():
     # at e^(+-i pi/3) |z| = |z/(z-1)| = |1-z| = 1, so each of those
     # series would need far more than SERIES_MAX_TERMS terms just inside
-    # the circle; the Taylor series about (1 +- i)/2 converges there
+    # the circle. The Taylor series about (1 +- i)/2 converges there
+    # (the generic triple), and so does the quadratic series in
+    # (z/(2-z))^2, of modulus 1/3 (the genus-2 triple)
     for eps in (1e-5, 1e-12):
         for sign in (1, -1):
             z = (1 - eps) * cmath.exp(sign * 1j * math.pi / 3)
