@@ -4,9 +4,9 @@ Geodesics of the unit-disk model are diameters or circular arcs meeting
 the unit circle at right angles (|center|^2 = 1 + radius^2). This module
 builds geodesics between points, finds the geodesic apex (the point of
 the geodesic closest to the origin), constructs the order-2 elliptic map
-pairing a side with itself and the half-turn about a point, builds the
-root polygon and the ideal fundamental polygon of a curve, and computes
-Gauss-Bonnet areas.
+pairing a side with itself from three points, builds the root polygon
+and the ideal fundamental polygon of a curve, and computes Gauss-Bonnet
+areas. `group_builder` writes the boundary half-turns from the sides.
 
 Every side with two ideal endpoints comes from one closed form,
 `_ideal_arc`: the geodesic whose endpoints lie at the angles phi -+ delta
@@ -220,20 +220,6 @@ def side_pairing_elliptic(z1: complex, z2: complex, m: complex) -> MoebiusMap:
     b = z2 * q - z1 * p
     c = (m - z2) ** 2 - (m - z1) ** 2
     return _normalized(a, b, c, -a)
-
-
-def half_turn(p: complex) -> MoebiusMap:
-    """The half-turn about the disk point p, the order-2 elliptic
-    isometry fixing it: (i(1+|p|^2), -2ip; 2i conj(p), -i(1+|p|^2)) /
-    (1 - |p|^2). Its trace is exactly 0 and its determinant is 1 to
-    rounding, with the same sign convention for every p; it swaps the
-    two ends of every geodesic through p.
-    """
-    q = p.real * p.real + p.imag * p.imag
-    s = 1.0 / (1.0 - q)
-    a = complex(0.0, (1.0 + q) * s)
-    w = complex(0.0, 2.0 * s)
-    return MoebiusMap._make(a, -w * p, w * p.conjugate(), -a)
 
 
 def polygon_area(poly: HyperbolicPolygon | Sequence[float]) -> float:

@@ -2,10 +2,10 @@
 
 Steps: place the 2g+1 curve roots on the unit circle; join cyclically
 adjacent roots by geodesics (`disk_geometry.root_polygon`, in closed
-form); pair each side with the half-turn about the side's apex (the
-boundary group); multiply a fixed side map (default the first) by every
-other one (the surface group). The 4g-sided ideal fundamental polygon is
-`disk_geometry.fundamental_polygon`.
+form); pair each side with the half-turn about its apex, written from
+the side's center (the boundary group); multiply a fixed side map
+(default the first) by every other one (the surface group). The 4g-sided
+ideal fundamental polygon is `disk_geometry.fundamental_polygon`.
 
 The boundary group keeps the root polygon's sides, so no reader builds a
 side again. Each product is the plain matrix product of two determinant-1
@@ -27,11 +27,12 @@ from __future__ import annotations
 # that way), and only the commands that build groups (`generators`,
 # `verify`) pay for importing `dataclasses`. The verify records are
 # NamedTuples; verify_group builds each entry with `tuple.__new__`.
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .curves import HyperellipticCurve
-from .disk_geometry import GeodesicArc, half_turn, root_polygon
+from .disk_geometry import GeodesicArc, root_polygon
 from .moebius import (
     DegenerateMapError,
     MapClass,
@@ -85,15 +86,23 @@ _HYPERBOLIC = MapClass.HYPERBOLIC
 def boundary_generators(curve: HyperellipticCurve) -> FuchsianGroupSpec:
     """One elliptic side map per cyclically adjacent root pair.
 
-    Generator j is `half_turn(side.apex)` for side j of
-    `root_polygon(curve)`, the geodesic from r_j to r_(j+1); the apex is
-    e^(i phi_j) tan(pi/4 - pi/(2(2g+1))) at the side's mid-angle phi_j,
-    and the spec keeps the side.
+    Generator j is the half-turn about the apex of side j of
+    `root_polygon(curve)`, the geodesic from r_j to r_(j+1), written in
+    s_b (cosh s_b = 1/sin(delta), sinh s_b = cot(delta), delta =
+    pi/(2g+1)): (i cosh s_b, b_j; conj(b_j), -i cosh s_b) with b_j =
+    -i sinh s_b e^(i phi_j) = -i (cos^2(delta)/sin(delta)) C_j, where
+    C_j = e^(i phi_j)/cos(delta) is the side's center. No entry is formed
+    with cancellation, d == -a bit for bit, and the spec keeps the sides.
     """
     sides = root_polygon(curve).sides
-    return FuchsianGroupSpec(
-        "boundary", tuple(half_turn(side.apex) for side in sides), sides
-    )
+    delta = math.pi / len(sides)
+    a = complex(0.0, 1.0 / math.sin(delta))
+    scale = complex(0.0, -math.cos(delta) ** 2 / math.sin(delta))
+    gens = []
+    for side in sides:
+        b = scale * side.center
+        gens.append(MoebiusMap._make(a, b, b.conjugate(), -a))
+    return FuchsianGroupSpec("boundary", tuple(gens), sides)
 
 
 def subgroup_generators(base: FuchsianGroupSpec, k: int = 1) -> FuchsianGroupSpec:

@@ -450,7 +450,7 @@ def test_exit_code_numerical_breakdown(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "genus, sign", [(44, -1), (47, 1)], ids=["44-minus", "47-plus"]
+    "genus, sign", [(46, -1), (48, 1)], ids=["46-minus", "48-plus"]
 )
 def test_generators_reports_the_surface_determinant_drift(genus, sign):
     # with the default fixed index, these are the first genera where a

@@ -1,5 +1,6 @@
 """The closed-form boundary group and ideal polygon against 40-digit
-mpmath, at genus 2 to 1000 and both signs.
+mpmath, at genus 2 to 1000 and both signs, and the boundary generators'
+entries against their closed form in s_b up to genus 100,000.
 
 The references are built from the exact roots of z^(2g+1) = -sign, not
 from the package's angle formulas: the geodesic through two ideal points
@@ -26,12 +27,17 @@ TOL = 1e-14
 CASES = [(g, sign) for g in (2, 5, 41, 81, 200, 1000) for sign in (1, -1)]
 
 
-def exact_roots(g: int, sign: int) -> list:
-    """The roots in the package's order: by angle in (0, 2 pi]."""
-    n = 2 * g + 1
+def exact_root(n: int, sign: int, k: int):
+    """Root k of z^n = -sign in the package's order: by angle in
+    (0, 2 pi]."""
     if sign == -1:
-        return [mp.expj(2 * mp.pi * k / n) for k in range(1, n + 1)]
-    return [mp.expj(mp.pi * (2 * k + 1) / n) for k in range(n)]
+        return mp.expj(2 * mp.pi * (k + 1) / n)
+    return mp.expj(mp.pi * (2 * k + 1) / n)
+
+
+def exact_roots(g: int, sign: int) -> list:
+    n = 2 * g + 1
+    return [exact_root(n, sign, k) for k in range(n)]
 
 
 def exact_side(w1, w2) -> tuple:
@@ -77,3 +83,41 @@ def test_closed_forms_match_40_digit_mpmath(g, sign):
             errors["polygon radius"].append(rel(side.radius, radius))
     worst = {key: max(values) for key, values in errors.items()}
     assert max(worst.values()) <= TOL, worst
+
+
+# Each boundary generator is the half-turn about its side's apex, at the
+# distance s_b from 0 with cosh s_b = 1/sin(delta) and sinh s_b =
+# cot(delta), delta = pi/(2g+1): a = i/sin(delta), b = -i cot(delta)
+# e^(i phi_j), c = conj(b) and d = -a, where e^(i phi_j) is the unit
+# direction of the side's mid-angle. Every entry must be within
+# ENTRY_TOL of it relative to |a|. Through the apex (1 - |p|^2 formed
+# with cancellation) the worst entry was 4.2e-13 off at genus <= 3000.
+ENTRY_TOL = 4e-15
+ENTRY_CASES = [
+    (g, sign)
+    for g in (1, 2, 3, 10, 41, 1000, 3000, 10_000, 100_000)
+    for sign in (1, -1)
+]
+
+
+@pytest.mark.parametrize(
+    "g, sign", ENTRY_CASES,
+    ids=[f"{g}-{'plus' if s == 1 else 'minus'}" for g, s in ENTRY_CASES],
+)
+def test_boundary_generators_match_their_closed_form_in_s_b(g, sign):
+    gens = boundary_generators(HyperellipticCurve(g, sign)).generators
+    n = 2 * g + 1
+    indices = range(n) if g <= 41 else (0, 1, g, 2 * g)
+    worst = 0.0
+    with mp.workdps(40):
+        delta = mp.pi / n
+        a = 1j / mp.sin(delta)
+        for j in indices:
+            # the mid-angle direction of the exact roots r_j, r_(j+1)
+            mid = exact_root(n, sign, j) + exact_root(n, sign, (j + 1) % n)
+            b = -1j * mp.cot(delta) * mid / abs(mid)
+            gen = gens[j]
+            for got, want in ((gen.a, a), (gen.b, b), (gen.c, mp.conj(b)),
+                              (gen.d, -a)):
+                worst = max(worst, float(abs(mp.mpc(got) - want) / abs(a)))
+    assert worst <= ENTRY_TOL, worst

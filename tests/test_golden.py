@@ -24,11 +24,11 @@ from fuchsian import (
 # failing verify report as well as the passing one
 GOLDEN_STDOUT = {
     ("generators", "--genus", "2", "--sign", "minus"): (
-        "6c13d6201e7a37b9ce05d86e3fd7953fc962a34b8284cad596c8fc9e77a95a6b", 0),
+        "1d3c01142facf7e4d1501ab32f40b17552f8f2153f46068048e82162e409fb79", 0),
     ("generators", "--genus", "30", "--sign", "plus", "--fixed", "7"): (
-        "3f63c2f154b14fa7f481870446a123a03027142e1eb627cd93da572d0219a5cf", 0),
+        "e899fb4900969ecf606a544cb6a596832f54eaaa7137bfb6011a733efd7d8fe1", 0),
     ("generators", "--genus", "41", "--sign", "minus", "--fixed", "83"): (
-        "aacd4dfa9f893f8ef9281f7a797f345a2587622eec32a3b7150dc7faf0d86651", 0),
+        "25ac88544728bd531f3535635fe98d1bfc63a997be740fcf5b015ca90e27b935", 0),
     ("whittaker", "--genus", "2"): (
         "55f6085966f78c84bbb66518dd2f6d3342e485f058cb940be7d355d1d378e636", 0),
     ("whittaker", "--genus", "40"): (
@@ -111,12 +111,12 @@ def test_render_svg_bytes_are_pinned(tmp_path):
 
 # genus -> sha256 of the surface path's reprs for both signs and the
 # fixed indices 1, g and 2g + 1 (surface_path_reprs), recorded when the
-# surface products became plain matrix products
+# boundary half-turns were first written in s_b from the side centers
 GOLDEN_SURFACE_PATH = {
-    2: "53c6580ce5a8026226ed1dd90a42928249c4cbbd5fc37defaab17aacd1e84905",
-    3: "dcbd0c9889b2f8b7e4e8923353f8abcaead64289080f8de8859bd6d94a08bc91",
-    10: "9d1e2ee3f22bbee1785a3ccf29fc41607fe9e9ac2e22fbbbc4a0f8be023e0677",
-    41: "1b3228f8e3a4c1d317f7c4a5b651876ea5e7dfdaf84cff7494f0fa83e8b643c4",
+    2: "e41c7b9fbdd9e92ab2dc9fe044f8a18096aca5619b3faeadf79012cd1b8663c6",
+    3: "8e1aa2ff78ee0f9fdf4733ce53cd3161718c70cae43d4e29266e6f80edf29470",
+    10: "cceb906a529fe886c512a3940fb0ddfe434b1846daf651a1830257d238c06294",
+    41: "d298468b5dba984e8f1606c625e9b3bd19c9c5bccab54a773e30070fac02a5ac",
 }
 
 
@@ -143,11 +143,11 @@ def test_surface_path_records_are_pinned(g):
 
 # sha256 of every surface_sweep request's records, g = 1..41, both signs
 # and every fixed index k = 1..2g+1 (full_surface_range_parts), recorded
-# when the surface products became plain matrix products. The worst
-# product's |det - 1| is about 450 times under its bound, so a moved bit
-# changes a digest here, not a verdict.
+# when the boundary half-turns were first written in s_b from the side
+# centers. The worst product's |det - 1| is about 420 times under its
+# bound, so a moved bit changes a digest here, not a verdict.
 GOLDEN_FULL_SURFACE_RANGE = (
-    "42585c8f1c3cb7c6a8f8180436ee1a38e797b362100e3e6b4532306da35e75cf"
+    "bb38bf29b27b1a2c84861dfd61cc6a49074c9aa16f78dfd83f60cfd54622e3eb"
 )
 
 

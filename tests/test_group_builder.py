@@ -60,7 +60,8 @@ def test_boundary_generators_frozen_genus_two():
     assert abs(t1.b - (1.3090169944 + 0.4253254042j)) < 1e-9
     assert abs(t1.c - (1.3090169944 - 0.4253254042j)) < 1e-9
     assert abs(t1.d + 1.7013016167j) < 1e-9
-    # every half-turn has the same sign convention: a = i(1+|p|^2)/(1-|p|^2)
+    # every half-turn has the same sign convention: a = i cosh(s_b) =
+    # i/sin(pi/5) and d = -a
     assert abs(t2.a - 1.7013016167j) < 1e-9
     assert abs(t2.b - 1.3763819205j) < 1e-9
     assert abs(t2.c + 1.3763819205j) < 1e-9
@@ -68,18 +69,25 @@ def test_boundary_generators_frozen_genus_two():
 
 
 def test_boundary_generators_swap_adjacent_roots():
+    # generator j swaps side j's endpoints (adjacent roots) and fixes the
+    # side's apex; the rounding grows like n = 2g + 1 (about 2.4e-16 n)
     from fuchsian.moebius import apply
 
-    for g in (1, 2, 3):
+    for g in [*range(1, 101), 1000, 10_000]:
+        tol = 1e-15 * (2 * g + 1)
         for sign in (1, -1):
-            curve = HyperellipticCurve(g, sign)
-            rs = roots(curve)
-            n = len(rs)
-            base = boundary_generators(curve)
-            for j, gen in enumerate(base.generators):
-                z1, z2 = rs[j], rs[(j + 1) % n]
-                assert abs(apply(gen, z1) - z2) < 1e-9
-                assert abs(apply(gen, z2) - z1) < 1e-9
+            base = boundary_generators(HyperellipticCurve(g, sign))
+            worst = 0.0
+            for gen, side in zip(base.generators, base.sides, strict=True):
+                z1, z2 = side.endpoints
+                apex = side.apex
+                worst = max(
+                    worst,
+                    abs(apply(gen, z1) - z2),
+                    abs(apply(gen, z2) - z1),
+                    abs(apply(gen, apex) - apex),
+                )
+            assert worst <= tol, (g, sign, worst)
 
 
 def test_boundary_group_contract_across_family():
@@ -646,10 +654,14 @@ def test_boundary_and_subgroup_build_one_map_per_generator(monkeypatch):
 
 # Plain statements of each boundary generator: side j of the root
 # polygon from the exact angles of its mid-point and half-width, and the
-# half-turn about its apex with the normalized entries written out. The
-# group builder must give the same floats. The three-point construction
-# `side_pairing_elliptic(r_j, r_j+1, geodesic_apex(r_j, r_j+1))` solves
-# the side from its endpoints, so it gives the same maps projectively.
+# half-turn about its apex written in s_b, the apex's distance from 0:
+# with delta = pi/n, cosh s_b = 1/sin(delta) and sinh s_b = cot(delta),
+# the half-turn is (i cosh s_b, -i sinh s_b e^(i phi); i sinh s_b
+# e^(-i phi), -i cosh s_b), and e^(i phi) = cos(delta) C for the side's
+# center C. The group builder must give the same floats. The three-point
+# construction `side_pairing_elliptic(r_j, r_j+1, geodesic_apex(r_j,
+# r_j+1))` solves the side from its endpoints, so it gives the same maps
+# projectively.
 
 
 def reference_side(curve, j: int) -> GeodesicArc:
@@ -663,19 +675,19 @@ def reference_side(curve, j: int) -> GeodesicArc:
     )
 
 
-def reference_half_turn(p: complex) -> MoebiusMap:
-    q = p.real * p.real + p.imag * p.imag
-    s = 1 / (1 - q)
-    return MoebiusMap(
-        1j * (1 + q) * s, -2j * s * p, 2j * s * p.conjugate(), -1j * (1 + q) * s
-    )
+def reference_half_turn(delta: float, center: complex) -> MoebiusMap:
+    a = complex(0, 1 / math.sin(delta))  # i cosh(s_b)
+    # -i sinh(s_b) e^(i phi) = -i cot(delta) cos(delta) C
+    b = complex(0, -(math.cos(delta) ** 2 / math.sin(delta))) * center
+    return MoebiusMap(a, b, b.conjugate(), -a)
 
 
 def reference_boundary_group(curve) -> FuchsianGroupSpec:
     sides = tuple(reference_side(curve, j) for j in range(curve.degree))
-    apexes = [s.center * (1.0 - s.radius / abs(s.center)) for s in sides]
+    delta = math.pi / curve.degree
     return FuchsianGroupSpec(
-        "boundary", tuple(reference_half_turn(p) for p in apexes), sides
+        "boundary", tuple(reference_half_turn(delta, s.center) for s in sides),
+        sides,
     )
 
 
