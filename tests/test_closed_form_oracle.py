@@ -90,8 +90,8 @@ def test_closed_forms_match_40_digit_mpmath(g, sign):
 # cot(delta), delta = pi/(2g+1): a = i/sin(delta), b = -i cot(delta)
 # e^(i phi_j), c = conj(b) and d = -a, where e^(i phi_j) is the unit
 # direction of the side's mid-angle. Every entry must be within
-# ENTRY_TOL of it relative to |a|. Through the apex (1 - |p|^2 formed
-# with cancellation) the worst entry was 4.2e-13 off at genus <= 3000.
+# ENTRY_TOL of it relative to |a|. The half-turn formed from the apex p,
+# with 1 - |p|^2, is up to 4.2e-13 off by genus 3000.
 ENTRY_TOL = 4e-15
 ENTRY_CASES = [
     (g, sign)

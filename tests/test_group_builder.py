@@ -70,7 +70,7 @@ def test_boundary_generators_frozen_genus_two():
 
 def test_boundary_generators_swap_adjacent_roots():
     # generator j swaps side j's endpoints (adjacent roots) and fixes the
-    # side's apex; the rounding grows like n = 2g + 1 (about 2.4e-16 n)
+    # side's apex; the rounding grows like n = 2g + 1 (at most 3.2e-16 n)
     from fuchsian.moebius import apply
 
     for g in [*range(1, 101), 1000, 10_000]:
