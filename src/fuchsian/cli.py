@@ -260,8 +260,9 @@ def run_generators(g: int, sign: int, k: int = 1) -> dict:
 
 
 def run_whittaker(g: int) -> dict:
-    from .moebius import classify, compose, normalize
+    from .moebius import classify, compose
     from .whittaker import (
+        closed_form_generators,
         connection_map,
         connection_map_from_gammas,
         connection_residual,
@@ -275,11 +276,9 @@ def run_whittaker(g: int) -> dict:
 
     params = hde_params(g)
     generators = []
-    normalized = []
-    for k in range(2 * g + 1):
+    normalized = closed_form_generators(g)
+    for k, norm in enumerate(normalized):
         raw = whittaker_generator_raw(g, k)
-        norm = normalize(raw)
-        normalized.append(norm)
         generators.append(
             {
                 "k": k,

@@ -45,6 +45,7 @@ from .moebius import (
     _FILTER_SIZE,
     _INF,
     _entries_class,
+    _half_turns,
     _left_products,
     compose,
 )
@@ -91,17 +92,16 @@ def boundary_generators(curve: HyperellipticCurve) -> FuchsianGroupSpec:
     s_b (cosh s_b = 1/sin(delta), sinh s_b = cot(delta), delta =
     pi/(2g+1)): (i cosh s_b, b_j; conj(b_j), -i cosh s_b) with b_j =
     -i sinh s_b e^(i phi_j) = -i (cos^2(delta)/sin(delta)) C_j, where
-    C_j = e^(i phi_j)/cos(delta) is the side's center. No entry is formed
-    with cancellation, d == -a bit for bit, and the spec keeps the sides.
+    C_j = e^(i phi_j)/cos(delta) is the side's center, built by
+    `moebius._half_turns` as the closed-form family is. No entry is
+    formed with cancellation, d == -a bit for bit, and the spec keeps the
+    sides.
     """
     sides = root_polygon(curve).sides
     delta = math.pi / len(sides)
     a = complex(0.0, 1.0 / math.sin(delta))
     scale = complex(0.0, -math.cos(delta) ** 2 / math.sin(delta))
-    gens = []
-    for side in sides:
-        b = scale * side.center
-        gens.append(MoebiusMap._make(a, b, b.conjugate(), -a))
+    gens = _half_turns(a, scale, (side.center for side in sides))
     return FuchsianGroupSpec("boundary", tuple(gens), sides)
 
 

@@ -27,7 +27,10 @@ arithmetic (underflow, or cancellation in an ill-conditioned map), so it
 raises DegenerateMapError, a numerical breakdown. Callers that need a
 normalized map without the map in between use the entry helper
 _normalized, which normalize wraps; _left_products multiplies one map
-by many, and compose is it on one map.
+by many, and compose is it on one map. _half_turns is the one place a
+half-turn's entries are written: both generator families of the package
+(group_builder.boundary_generators at s_b and
+whittaker.closed_form_generators at s_c) build through it.
 """
 
 from __future__ import annotations
@@ -219,6 +222,23 @@ def _left_products(m1: MoebiusMap, maps) -> list[MoebiusMap]:
         )
         for m in maps
     ]
+
+
+def _half_turns(a: complex, scale: complex, directions) -> list[MoebiusMap]:
+    """The half-turns (a, b; conj(b), -a) with b = scale * u, one per u in
+    directions, each built with one MoebiusMap._make in one pass.
+
+    With a = +-i cosh s and b = -+i sinh(s) u/|u|, each is the
+    determinant-1 half-turn about tanh(s/2) u/|u|, the point at distance
+    s from 0. d == -a bit for bit, so the trace is exactly 0.
+    """
+    make = MoebiusMap._make
+    d = -a
+    gens = []
+    for u in directions:
+        b = scale * u
+        gens.append(make(a, b, b.conjugate(), d))
+    return gens
 
 
 def apply(m: MoebiusMap, z: Point) -> Point:

@@ -22,7 +22,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from . import NumericalError
-from .moebius import MoebiusMap, compose
+from .moebius import MoebiusMap, _half_turns, compose
 
 # a sum stops once this many consecutive terms leave its partial sum
 # unchanged in floating point
@@ -442,8 +442,35 @@ def whittaker_generator_raw(g: int, k: int) -> MoebiusMap:
     if not 0 <= k <= 2 * g:
         raise ValueError(f"generator index {k} outside 0..{2 * g}")
     r = (2.0 * math.cos(a * math.pi) - 1.0) ** -0.5
-    phase = cmath.exp(1j * (4 * k + 1) * a * math.pi / 2.0)
+    phase = _phase(a, k)
     return MoebiusMap(r, -phase, phase.conjugate(), -r)
+
+
+def _phase(a: float, k: int) -> complex:
+    """e^((4k+1) a pi i / 2), the direction of closed-form generator k."""
+    return cmath.exp(1j * (4 * k + 1) * a * math.pi / 2.0)
+
+
+def closed_form_generators(g: int) -> list[MoebiusMap]:
+    """The 2g+1 closed-form generators with determinant 1, k = 0..2g:
+    normalize(whittaker_generator_raw(g, k)), written in s_c.
+
+    With cosh s_c = 1/(2 sin(a pi/2)) and sinh s_c = sqrt(2 cos a pi - 1)
+    cosh s_c, generator k is the half-turn
+    (-i cosh s_c, i sinh s_c ph; -i sinh s_c conj(ph), i cosh s_c),
+    ph = e^((4k+1) a pi i / 2), built by `moebius._half_turns`. It is the
+    display form divided by the principal square root i sqrt|det| of its
+    determinant (2 cos a pi - 2)/(2 cos a pi - 1), without forming that
+    determinant, which loses digits like g^2 to cancellation.
+    """
+    a = hde_params(g).a
+    cosh_s = 0.5 / math.sin(a * math.pi / 2.0)
+    sinh_s = math.sqrt(2.0 * math.cos(a * math.pi) - 1.0) * cosh_s
+    return _half_turns(
+        complex(0.0, -cosh_s),
+        complex(0.0, sinh_s),
+        (_phase(a, k) for k in range(2 * g + 1)),
+    )
 
 
 def whittaker_subgroup(generators: Sequence[MoebiusMap]) -> list[MoebiusMap]:
@@ -451,9 +478,9 @@ def whittaker_subgroup(generators: Sequence[MoebiusMap]) -> list[MoebiusMap]:
     0-based), generating the genus-g surface group; every product is
     hyperbolic.
 
-    `generators` are the 2g+1 normalized closed-form generators,
-    normalize(whittaker_generator_raw(g, k)) for k = 0..2g, so the
-    products have determinant 1 without normalizing again.
+    `generators` are the 2g+1 determinant-1 closed-form generators,
+    closed_form_generators(g), so the products have determinant 1
+    without normalizing.
     """
     first = generators[0]
     return [compose(gen, first) for gen in generators[1:]]

@@ -440,8 +440,9 @@ def test_exit_code_algorithm_failure(monkeypatch, capsys):
 
 
 def test_exit_code_numerical_breakdown(monkeypatch, capsys):
-    # valid input whose closed-form generator normalizes to a map with a
-    # zero determinant: a numerical failure (3), not bad arguments (2)
+    # valid input with a surface product whose entries (about cosh^2 s_c,
+    # 4e7) give a determinant that rounds to exactly 0: a numerical
+    # failure (3), not bad arguments (2)
     assert cli.main(["whittaker", "--genus", "10000"]) == 3
     # likewise a hypergeometric series that runs out of terms
     monkeypatch.setattr(whittaker, "SERIES_MAX_TERMS", 5)

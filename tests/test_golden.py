@@ -34,7 +34,7 @@ GOLDEN_STDOUT = {
     ("whittaker", "--genus", "40"): (
         "9622604aa54e5f5adb7be64bd08eb5516dda806e501e06e0ee96f516182f7805", 0),
     ("whittaker", "--genus", "80"): (
-        "840631472a887a5a4ed53feb231f7fd3d9a353e165f9738015bd9b1fd90611e8", 0),
+        "6e738d56631495b076405bfb93c6de06aa956567c6d373ce5a6ba48dacd7ebc0", 0),
     ("verify",): (
         "d1021c722f4ffbd00950ac6c3607899b69e426d4b2b8389c94705d71dbf25c0f", 0),
     ("verify", "--perturb", "1e-2"): (

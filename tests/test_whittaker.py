@@ -14,9 +14,12 @@ import pytest
 import scipy.special
 
 from fuchsian import NumericalError, whittaker
+from fuchsian.curves import HyperellipticCurve
+from fuchsian.group_builder import boundary_generators, subgroup_generators
 from fuchsian.moebius import MapClass, MoebiusMap, classify, compose, normalize
 from fuchsian.whittaker import (
     SeriesNotConvergedError,
+    closed_form_generators,
     connection_map,
     connection_map_from_gammas,
     continuation_residual,
@@ -628,13 +631,92 @@ def test_raw_generator_index_bounds():
         whittaker_generator_raw(1, 0)
 
 
-def normalized_generators(g):
-    return [normalize(whittaker_generator_raw(g, k)) for k in range(2 * g + 1)]
+def normalized_display_form(g, k):
+    """normalize(whittaker_generator_raw(g, k)) in 40-digit mpmath: the
+    display form at the package's float a and float angle
+    (4k+1) a pi/2, divided by the principal square root of its
+    determinant. Taking the package's angle measures the normalization
+    alone; the angle's own rounding (up to about 1e-15 near 2 pi) is the
+    same in both forms."""
+    a = 1.0 / (2 * g + 1)
+    with mpmath.workdps(40):
+        r = (2 * mpmath.cos(mpmath.mpf(a) * mpmath.pi) - 1) ** mpmath.mpf(-0.5)
+        ph = mpmath.expj((4 * k + 1) * a * math.pi / 2.0)
+        root = mpmath.sqrt(mpmath.mpc(1 - r * r))
+        return [x / root for x in (r, -ph, mpmath.conj(ph), -r)]
+
+
+@pytest.mark.parametrize("g", [2, 10, 100, 1000, 6000, 10**4, 10**5])
+def test_closed_form_generators_match_the_normalized_display_form(g):
+    # normalizing the display form forms its determinant
+    # (2 cos a pi - 2)/(2 cos a pi - 1) with cancellation: 1.4e-15 off at
+    # g = 10, 3.0e-13 at g = 100 and 7.1e-9 at g = 10^4 against this
+    # reference, relative to the largest entry; the form in s_c reads
+    # at most 2.6e-16
+    gens = closed_form_generators(g)
+    assert len(gens) == 2 * g + 1
+    for k in (0, 1, g, 2 * g):
+        gen = gens[k]
+        want = normalized_display_form(g, k)
+        largest = max(abs(x) for x in want)
+        got = (gen.a, gen.b, gen.c, gen.d)
+        err = max(abs(mpmath.mpc(x) - y) for x, y in zip(got, want)) / largest
+        assert err <= 1e-15, (k, float(err))
+        assert gen.d == -gen.a and gen.c == gen.b.conjugate()
+        if g <= 10:
+            # the same matrix as the package's own normalization of the
+            # paper's formula, so the same principal-branch sign too
+            norm = normalize(whittaker_generator_raw(g, k))
+            ref = max(abs(norm.a), abs(norm.b))
+            assert max(
+                abs(x - y) for x, y in zip(got, (norm.a, norm.b, norm.c, norm.d))
+            ) <= 1e-14 * ref
+
+
+def spectrum_gap(trace, m, n, cosh2):
+    """| |tr| - (2 + 4 sinh^2 s sin^2(pi m/n)) | / (2 cosh^2 s): how far a
+    product of the half-turns with index gap m, at distance s from 0, is
+    from the trace formula, scaled by the size of its entries."""
+    want = 2.0 + 4.0 * (cosh2 - 1.0) * math.sin(math.pi * m / n) ** 2
+    return abs(abs(trace) - want) / (2.0 * cosh2)
+
+
+@pytest.mark.parametrize("g", [*range(2, 11), 50, 200, 1000])
+def test_both_families_have_the_trace_spectrum_of_their_radius(g):
+    # both groups are generated by 2g+1 half-turns at one distance s from
+    # 0, equally spaced in angle: s_b for the boundary group (cosh s_b =
+    # 1/sin(delta), delta = pi/(2g+1)) and s_c for the closed-form family
+    # (cosh s_c = cos(delta/2)/sin(delta)). Measured worst: 1.7e-15
+    # (boundary) and 1.6e-15 (closed form).
+    n = 2 * g + 1
+    delta = math.pi / n
+    cosh2_b = 1.0 / math.sin(delta) ** 2
+    cosh2_c = (math.cos(delta / 2) / math.sin(delta)) ** 2
+    boundary = []
+    for sign in (1, -1):
+        base = boundary_generators(HyperellipticCurve(g, sign))
+        for k in (1, g + 1):
+            others = [j for j in range(1, n + 1) if j != k]
+            surface = subgroup_generators(base, k).generators
+            boundary += [(p.trace, j - k) for j, p in zip(others, surface)]
+    closed = [
+        (p.trace, m)
+        for m, p in enumerate(whittaker_subgroup(closed_form_generators(g)), start=1)
+    ]
+    for products, cosh2, other in (
+        (boundary, cosh2_b, cosh2_c),
+        (closed, cosh2_c, cosh2_b),
+    ):
+        for trace, m in products:
+            assert spectrum_gap(trace, m, n, cosh2) <= 1e-14, (g, m)
+            # negative control: the other radius misses every product, by
+            # 3.0e-12 at the least (g = 1000, m = 1)
+            assert spectrum_gap(trace, m, n, other) > 1e-14, (g, m)
 
 
 def test_normalized_generators_are_elliptic_involutions():
     for g in (2, 3, 4):
-        for gen in normalized_generators(g):
+        for gen in closed_form_generators(g):
             assert abs(gen.det - 1.0) < 1e-12
             assert gen.trace == 0
             assert classify(gen) is MapClass.ELLIPTIC
@@ -643,7 +725,7 @@ def test_normalized_generators_are_elliptic_involutions():
 
 
 def test_subgroup_products_frozen_traces_genus_two():
-    prods = whittaker_subgroup(normalized_generators(2))
+    prods = whittaker_subgroup(closed_form_generators(2))
     assert len(prods) == 4
     want = (4.2360679775, 7.8541019662, 7.8541019662, 4.2360679775)
     for prod, expect in zip(prods, want):
@@ -654,7 +736,7 @@ def test_subgroup_products_frozen_traces_genus_two():
 
 def test_subgroup_products_hyperbolic_for_higher_genus():
     for g in (3, 4, 5, 6):
-        prods = whittaker_subgroup(normalized_generators(g))
+        prods = whittaker_subgroup(closed_form_generators(g))
         assert len(prods) == 2 * g
         for prod in prods:
             assert classify(prod) is MapClass.HYPERBOLIC
