@@ -362,8 +362,6 @@ def _sy(z: complex) -> float:
 
 def _side_segment(side: GeodesicArc, start: complex, end: complex) -> str:
     x, y = _fmt_float(_sx(end)), _fmt_float(_sy(end))
-    if side.kind == "diameter":
-        return f"L {x} {y}"
     r = _fmt_float(side.radius * _SVG_SCALE)
     cross = ((start - side.center).conjugate() * (end - side.center)).imag
     sweep = 0 if cross > 0 else 1

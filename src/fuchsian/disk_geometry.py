@@ -1,18 +1,20 @@
 """Poincare disk geometry.
 
-Geodesics of the unit-disk model are diameters or circular arcs meeting
-the unit circle at right angles (|center|^2 = 1 + radius^2). This module
-builds geodesics between points, finds the geodesic apex (the point of
-the geodesic closest to the origin), constructs the order-2 elliptic map
-pairing a side with itself from three points, builds the root polygon
-and the ideal fundamental polygon of a curve, and computes Gauss-Bonnet
-areas. `group_builder` writes the boundary half-turns from the sides.
+The package's geodesics are circular arcs meeting the unit circle at
+right angles (|center|^2 = 1 + radius^2). This module joins two ideal
+points by a geodesic, finds its apex (the point closest to the origin),
+constructs the order-2 elliptic map pairing a side with itself from its
+ideal endpoints and apex, builds the root polygon and the ideal
+fundamental polygon of a curve, and computes Gauss-Bonnet areas.
+`group_builder` writes the boundary half-turns from the sides.
 
-Every side with two ideal endpoints comes from one closed form,
-`_ideal_arc`: the geodesic whose endpoints lie at the angles phi -+ delta
-has center e^(i phi)/cos(delta) and radius tan(delta). The curve's
-polygons derive phi and delta from exact multiples of pi, so no side of
-theirs is solved from its rounded endpoints.
+Every side comes from one closed form, `_ideal_arc`: the geodesic whose
+endpoints lie at the angles phi -+ delta has center e^(i phi)/cos(delta)
+and radius tan(delta). The curve's polygons derive phi and delta from
+exact multiples of pi, so no side of theirs is solved from its rounded
+endpoints. No geodesic through an interior point is solved, and no
+diameter is built; `interior_angles` and `polygon_area` still accept
+polygons with finite vertices, given their sides.
 
 `root_polygon` keeps one entry: the last curve object it was given and
 that curve's polygon. A call with that same object (`is`, not `==`)
@@ -29,9 +31,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from . import NumericalError
 from .curves import HyperellipticCurve, roots
 from .moebius import INFINITY, MoebiusMap, Point, _normalized
 
@@ -41,37 +42,21 @@ ON_GEODESIC_TOL = 1e-6
 _THREE_POINTS = "side pairing needs three distinct points"
 
 
-class DegenerateGeodesicError(NumericalError, ValueError):
-    """The computed arc center lies inside the unit circle: a numerical
-    breakdown (cancellation in the center's 2x2 solve when two interior
-    points nearly coincide), not bad input.
-    """
-
-
 class GeodesicArc(NamedTuple):
-    """A disk geodesic through two points.
+    """A disk geodesic between two endpoints: the circular arc with the
+    given center and radius, orthogonal to the unit circle."""
 
-    kind "arc": circular arc with the given center and radius, orthogonal
-    to the unit circle. kind "diameter": straight chord through the
-    origin with the given unit direction.
-    """
-
-    kind: str  # "arc" | "diameter"
     endpoints: tuple[complex, complex]
-    center: complex | None = None
-    radius: float | None = None
-    direction: complex | None = None
+    center: complex
+    radius: float
 
     @property
     def apex(self) -> complex:
-        """The point of the geodesic with minimal modulus; the origin
-        for a diameter."""
-        if self.kind == "diameter":
-            return 0j
+        """The point of the geodesic with minimal modulus."""
         return self.center * (1.0 - self.radius / abs(self.center))
 
 
-# builds an arc from all five fields in order, without the call through
+# builds an arc from its three fields in order, without the call through
 # GeodesicArc's keyword __new__
 _new_arc = tuple.__new__
 
@@ -128,78 +113,56 @@ def _ideal_arc(
     """
     return _new_arc(
         GeodesicArc,
-        ("arc", (z1, z2), direction * math.sqrt(1.0 + tan_half * tan_half),
-         tan_half, None),
+        ((z1, z2), direction * math.sqrt(1.0 + tan_half * tan_half), tan_half),
     )
 
 
 def geodesic_between(z1: complex, z2: complex) -> GeodesicArc:
-    """The unique geodesic through two distinct points with |z| <= 1.
+    """The geodesic joining two ideal points, each within IDEAL_TOL of
+    the unit circle, by `_ideal_arc`'s closed form with the mid-angle
+    direction (z1 + z2)/|z1 + z2| and the half-angle tangent
+    |z1 - z2|/|z1 + z2|.
 
-    Two ideal points (each within IDEAL_TOL of the unit circle) that are
-    not collinear with the origin get `_ideal_arc`'s closed form, with
-    the mid-angle direction (z1 + z2)/|z1 + z2| and the half-angle
-    tangent |z1 - z2|/|z1 + z2|; any other pair solves a 2x2 system.
+    Raises ValueError for coincident points, a point off the unit
+    circle, and a pair collinear with the origin (|Im(conj(z1) z2)| <=
+    COLLINEAR_TOL), whose geodesic is a diameter.
     """
     z1, z2 = complex(z1), complex(z2)
     if z1 == z2:
         raise ValueError("coincident points determine no geodesic")
-    m1 = abs(z1)
-    if m1 > 1 + IDEAL_TOL:
-        raise ValueError(f"point {z1:.6g} lies outside the closed disk")
-    m2 = abs(z2)
-    if m2 > 1 + IDEAL_TOL:
-        raise ValueError(f"point {z2:.6g} lies outside the closed disk")
-    # z1, z2, 0 collinear exactly when Im(conj(z1) z2) = 0; det is that
-    # imaginary part bit for bit, and the 2x2 solve below divides by it
-    x1, y1 = z1.real, z1.imag
-    x2, y2 = z2.real, z2.imag
-    det = x1 * y2 - x2 * y1
-    if abs(det) <= COLLINEAR_TOL:
-        u = (z2 - z1) / abs(z2 - z1)
-        if u.real < 0 or (u.real == 0 and u.imag < 0):
-            u = -u
-        return _new_arc(GeodesicArc, ("diameter", (z1, z2), None, None, u))
-    if abs(m1 - 1.0) <= IDEAL_TOL and abs(m2 - 1.0) <= IDEAL_TOL:
-        s = z1 + z2
-        ms = abs(s)
-        return _ideal_arc(z1, z2, s / ms, abs(z1 - z2) / ms)
-    # orthogonality |C|^2 = R^2 + 1 plus incidence |z_i - C| = R reduce to
-    # the linear system 2 Re(conj(C) z_i) = |z_i|^2 + 1
-    r1 = (m1**2 + 1.0) / 2.0
-    r2 = (m2**2 + 1.0) / 2.0
-    center = complex((r1 * y2 - r2 * y1) / det, (x1 * r2 - x2 * r1) / det)
-    radius_sq = abs(center) ** 2 - 1.0
-    if radius_sq < 0:
-        raise DegenerateGeodesicError(
-            f"geodesic through {z1:.6g} and {z2:.6g}: computed center "
-            f"lies inside the unit circle (|C|^2 - 1 = {radius_sq:.3g})"
+    for z in (z1, z2):
+        # written so that a NaN modulus is rejected too
+        if not abs(abs(z) - 1.0) <= IDEAL_TOL:
+            raise ValueError(f"point {z:.6g} is not an ideal point")
+    if abs((z1.conjugate() * z2).imag) <= COLLINEAR_TOL:
+        raise ValueError(
+            f"points {z1:.6g} and {z2:.6g} are collinear with the origin"
         )
-    radius = math.sqrt(radius_sq)
-    return _new_arc(GeodesicArc, ("arc", (z1, z2), center, radius, None))
+    s = z1 + z2
+    ms = abs(s)
+    return _ideal_arc(z1, z2, s / ms, abs(z1 - z2) / ms)
 
 
 def geodesic_apex(z1: complex, z2: complex) -> complex:
-    """Point of the geodesic through z1, z2 with minimal modulus.
+    """Point of the geodesic joining the ideal points z1, z2 with
+    minimal modulus; raises ValueError as `geodesic_between` does.
 
-    For ideal endpoints e^(i t1), e^(i t2) this is
-    ((1 - sin a)/cos a) e^(i (t1+t2)/2) with a = |t1 - t2|/2; diameters
-    give the origin.
+    For the ideal points e^(i t1), e^(i t2) this is
+    ((1 - sin a)/cos a) e^(i (t1+t2)/2) with a = |t1 - t2|/2.
     """
     return geodesic_between(z1, z2).apex
 
 
 def point_on_geodesic(z: complex, g: GeodesicArc) -> float:
-    """Distance of z from the full geodesic circle/line (Euclidean)."""
-    if g.kind == "diameter":
-        return abs((z * g.direction.conjugate()).imag)
+    """Euclidean distance of z from the full circle of the geodesic."""
     return abs(abs(z - g.center) - g.radius)
 
 
 def side_pairing_elliptic(z1: complex, z2: complex, m: complex) -> MoebiusMap:
-    """Order-2 elliptic map swapping z1 and z2 and fixing m.
+    """Order-2 elliptic map swapping the ideal points z1 and z2 and
+    fixing m.
 
-    m must lie on the geodesic through z1 and z2; the result is
+    m must lie on the geodesic joining z1 and z2; the result is
     normalized (det 1) with trace exactly 0, so it is an involution.
     A zero determinant of the unnormalized entries is a numerical
     breakdown (the three points are distinct and on one geodesic), so it
@@ -222,25 +185,20 @@ def side_pairing_elliptic(z1: complex, z2: complex, m: complex) -> MoebiusMap:
     return _normalized(a, b, c, -a)
 
 
-def polygon_area(poly: HyperbolicPolygon | Sequence[float]) -> float:
+def polygon_area(poly: HyperbolicPolygon) -> float:
     """Gauss-Bonnet area (p - 2)*pi - (sum of interior angles).
 
-    Accepts either a HyperbolicPolygon (ideal vertices contribute angle
-    0, finite vertices the angle between the adjacent side tangents) or
-    a plain sequence of interior angles. An ideal p-gon yields exactly
+    Ideal vertices contribute angle 0, finite vertices the angle between
+    the adjacent side tangents. An ideal p-gon yields exactly
     (p - 2)*pi, without walking its angles.
     """
-    if isinstance(poly, HyperbolicPolygon):
-        p = len(poly.vertices)
-        if p >= 3 and all(poly.ideal):
-            # the angle sum is 0.0, and x - 0.0 == x bit for bit
-            return (p - 2) * math.pi
-        angles = interior_angles(poly)
-    else:
-        angles = list(poly)
-    p = len(angles)
+    p = len(poly.vertices)
     if p < 3:
         raise ValueError("polygon needs at least 3 vertices")
+    if all(poly.ideal):
+        # the angle sum is 0.0, and x - 0.0 == x bit for bit
+        return (p - 2) * math.pi
+    angles = interior_angles(poly)
     for ang in angles:
         if ang < 0 or ang >= math.pi:
             raise ValueError("interior angles must lie in [0, pi)")
@@ -269,12 +227,9 @@ def _tangent_at(side: GeodesicArc, v: complex) -> complex:
     """Unit tangent of a side at its endpoint v, pointing along the side."""
     e1, e2 = side.endpoints
     other = e2 if abs(v - e1) <= abs(v - e2) else e1
-    if side.kind == "diameter":
-        t = other - v
-    else:
-        t = 1j * (v - side.center)
-        if ((other - v) * t.conjugate()).real < 0:
-            t = -t
+    t = 1j * (v - side.center)
+    if ((other - v) * t.conjugate()).real < 0:
+        t = -t
     return t / abs(t)
 
 

@@ -75,6 +75,10 @@ def tessellation_for_degree(n_degree: int, g: int) -> TessellationSpec:
     """{p, q} for a genus-g curve of degree n in the three closed
     families: n = 2g+1 -> {4g, 4g}; n = 2g+2 -> {4g+2, 2g+1};
     n = 6g-2 -> {12g-6, 3}.
+
+    g is the genus of the tessellated surface, chi = 2 - 2g. A
+    hyperelliptic curve of degree n has genus floor((n - 1)/2), which is
+    g for the first two families but 3g - 2, not g, for n = 6g-2.
     """
     if g < 2:
         raise ValueError("genus must be at least 2")

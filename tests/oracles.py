@@ -2,21 +2,21 @@
 
 `fixed_points` solves the fixed-point equation of a Moebius map in
 closed form; the tests hold it against `apply` and `classify`.
-`geodesic_between` is the plain statement of
+`geodesic_between` joins any two points of the closed disk that are not
+collinear with the origin: two ideal points by the plain statement of
 `disk_geometry.geodesic_between`, which must build the same arcs bit
-for bit and raise the same errors. `polygon_from_vertices` joins
-consecutive vertices by `disk_geometry.geodesic_between`, which the
-angle and area tests build their finite polygons with.
+for bit and raise the same errors, and any other pair by a 2x2 solve
+that the package does not need. `polygon_from_vertices` joins
+consecutive vertices by it, which the angle and area tests build their
+finite polygons with.
 """
 
 import cmath
 import math
 
-from fuchsian import disk_geometry
 from fuchsian.disk_geometry import (
     COLLINEAR_TOL,
     IDEAL_TOL,
-    DegenerateGeodesicError,
     GeodesicArc,
     HyperbolicPolygon,
 )
@@ -46,7 +46,8 @@ def fixed_points(m: MoebiusMap) -> list[Point]:
 
 
 def geodesic_between(z1: complex, z2: complex) -> GeodesicArc:
-    """The unique geodesic through two distinct points with |z| <= 1."""
+    """The unique geodesic through two distinct points with |z| <= 1
+    that are not collinear with the origin."""
     z1, z2 = complex(z1), complex(z2)
     if z1 == z2:
         raise ValueError("coincident points determine no geodesic")
@@ -55,18 +56,15 @@ def geodesic_between(z1: complex, z2: complex) -> GeodesicArc:
             raise ValueError(f"point {z:.6g} lies outside the closed disk")
     # z1, z2, 0 collinear exactly when Im(conj(z1) z2) = 0
     if abs((z1.conjugate() * z2).imag) <= COLLINEAR_TOL:
-        u = (z2 - z1) / abs(z2 - z1)
-        if u.real < 0 or (u.real == 0 and u.imag < 0):
-            u = -u
-        return GeodesicArc("diameter", (z1, z2), direction=u)
+        raise ValueError(
+            f"points {z1:.6g} and {z2:.6g} are collinear with the origin"
+        )
     # two ideal points: center e^(i phi) sqrt(1 + t^2) and radius t, from
     # the mid-angle direction e^(i phi) and the tangent t of the half-angle
     if abs(abs(z1) - 1.0) <= IDEAL_TOL and abs(abs(z2) - 1.0) <= IDEAL_TOL:
         direction = (z1 + z2) / abs(z1 + z2)
         t = abs(z1 - z2) / abs(z1 + z2)
-        return GeodesicArc(
-            "arc", (z1, z2), center=direction * math.sqrt(1.0 + t * t), radius=t
-        )
+        return GeodesicArc((z1, z2), direction * math.sqrt(1.0 + t * t), t)
     # orthogonality |C|^2 = R^2 + 1 plus incidence |z_i - C| = R reduce to
     # the linear system 2 Re(conj(C) z_i) = |z_i|^2 + 1
     x1, y1 = z1.real, z1.imag
@@ -77,12 +75,13 @@ def geodesic_between(z1: complex, z2: complex) -> GeodesicArc:
     center = complex((r1 * y2 - r2 * y1) / det, (x1 * r2 - x2 * r1) / det)
     radius_sq = abs(center) ** 2 - 1.0
     if radius_sq < 0:
-        raise DegenerateGeodesicError(
+        # cancellation in the solve when two interior points nearly
+        # coincide near the unit circle
+        raise ValueError(
             f"geodesic through {z1:.6g} and {z2:.6g}: computed center "
             f"lies inside the unit circle (|C|^2 - 1 = {radius_sq:.3g})"
         )
-    radius = math.sqrt(radius_sq)
-    return GeodesicArc("arc", (z1, z2), center=center, radius=radius)
+    return GeodesicArc((z1, z2), center, math.sqrt(radius_sq))
 
 
 def polygon_from_vertices(vertices) -> HyperbolicPolygon:
@@ -90,8 +89,6 @@ def polygon_from_vertices(vertices) -> HyperbolicPolygon:
     verts = tuple(map(complex, vertices))
     if len(verts) < 3:
         raise ValueError("polygon needs at least 3 vertices")
-    sides = tuple(
-        map(disk_geometry.geodesic_between, verts, verts[1:] + verts[:1])
-    )
+    sides = tuple(map(geodesic_between, verts, verts[1:] + verts[:1]))
     ideal = tuple(abs(abs(v) - 1.0) <= IDEAL_TOL for v in verts)
     return HyperbolicPolygon(verts, sides, ideal)

@@ -320,7 +320,8 @@ def test_criterion_7_geometry_properties():
     ortho_res = 0.0
     pairs = 0
     while pairs < 100:
-        z1, z2 = disk_point(), disk_point()
+        # geodesic_between joins ideal points only
+        z1, z2 = (cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(2))
         if abs(z1 - z2) < 1e-2 or abs((z1.conjugate() * z2).imag) < 1e-3:
             continue
         pairs += 1

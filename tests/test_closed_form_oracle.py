@@ -9,9 +9,10 @@ apex (w1 + w2)/(2 + |w1 - w2|); the half-turn about p is (i(1+|p|^2),
 -2ip; 2i conj(p), -i(1+|p|^2)) up to scale; and the reflected roots are
 the images of the roots under inversion in the first side's circle.
 Every quantity must agree to 1e-14 relative. Solving each side from its
-rounded endpoints, as the package did before, misses this bound at every
-genus here (polygon radii 4.7e-14 at genus 2 and 2.4e-3 at genus 41) and
-raises DegenerateGeodesicError from genus 81 (sign +1) and 82 (sign -1).
+rounded endpoints by a general 2x2 system, as the package once did,
+misses this bound at every genus here (polygon radii 4.7e-14 at genus 2
+and 2.4e-3 at genus 41), and its computed centers fall inside the unit
+circle from genus 81 (sign +1) and 82 (sign -1).
 """
 
 from collections import defaultdict

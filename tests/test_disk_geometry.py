@@ -12,8 +12,8 @@ import pytest
 from fuchsian import cli, disk_geometry
 from fuchsian.curves import HyperellipticCurve
 from fuchsian.disk_geometry import (
-    DegenerateGeodesicError,
     GeodesicArc,
+    HyperbolicPolygon,
     cross_ratio,
     fundamental_polygon,
     geodesic_apex,
@@ -33,6 +33,10 @@ def disk_point(rng: random.Random, rmax: float = 0.95) -> complex:
     r = rmax * math.sqrt(rng.random())
     t = rng.uniform(0, 2 * math.pi)
     return r * cmath.exp(1j * t)
+
+
+def ideal_point(rng: random.Random) -> complex:
+    return cmath.exp(1j * rng.uniform(0, 2 * math.pi))
 
 
 # --- cross-ratio ---------------------------------------------------------
@@ -100,27 +104,14 @@ def test_cross_ratio_moebius_invariance():
 # --- geodesics -----------------------------------------------------------
 
 
-def test_diameter_detection_and_canonical_direction():
-    g = geodesic_between(-0.5, 0.5)
-    assert g.kind == "diameter"
-    assert abs(g.direction - 1.0) < 1e-15
-    g2 = geodesic_between(0.5, -0.5)
-    assert abs(g2.direction - g.direction) < 1e-15
-    g3 = geodesic_between(0.3j, -0.6j)
-    assert abs(g3.direction - 1j) < 1e-15
-    assert point_on_geodesic(0.9j, g3) == 0.0
-    assert abs(point_on_geodesic(0.25 + 0.5j, g3) - 0.25) < 1e-15
-
-
 def test_arc_orthogonality_and_incidence():
     rng = random.Random(23)
     checked = 0
     while checked < 60:
-        z1, z2 = disk_point(rng), disk_point(rng)
+        z1, z2 = ideal_point(rng), ideal_point(rng)
         if abs((z1.conjugate() * z2).imag) < 1e-3:
             continue
         g = geodesic_between(z1, z2)
-        assert g.kind == "arc"
         assert abs(abs(g.center) ** 2 - g.radius**2 - 1.0) < 1e-9
         assert abs(abs(z1 - g.center) - g.radius) < 1e-9
         assert abs(abs(z2 - g.center) - g.radius) < 1e-9
@@ -128,20 +119,19 @@ def test_arc_orthogonality_and_incidence():
 
 
 def test_geodesic_rejects_bad_input():
-    with pytest.raises(ValueError):
-        geodesic_between(0.5, 0.5)
-    with pytest.raises(ValueError):
-        geodesic_between(1.5, 0.2)
-
-
-def test_interior_solve_breakdown_is_a_numerical_error():
-    # two interior points 3e-6 apart at |z| = 1 - 1e-8: the 2x2 solve
-    # cancels, and its center lands inside the unit circle
-    z1 = 0.955336479572241 + 0.29552020370613746j
-    z2 = 0.955335593007331 + 0.29552306971424636j
-    assert max(abs(z1), abs(z2)) < 1 - 1e-9
-    with pytest.raises(DegenerateGeodesicError, match="inside the unit circle"):
-        geodesic_between(z1, z2)
+    with pytest.raises(ValueError, match="coincident"):
+        geodesic_between(1j, 1j)
+    # outside the disk, inside it, and two interior points 3e-6 apart at
+    # |z| = 1 - 1e-8, where a 2x2 solve for the center cancels
+    near = 0.955336479572241 + 0.29552020370613746j
+    for z1, z2 in ((1.5, 1j), (1j, 0.5), (near, 0.955335593007331 + 0.29552306971424636j),
+                   (complex("nan"), 1j)):
+        with pytest.raises(ValueError, match="not an ideal point"):
+            geodesic_between(z1, z2)
+    # two ideal points on a diameter, exactly and within COLLINEAR_TOL
+    for z2 in (-1, cmath.exp(1j * (math.pi + 5e-10))):
+        with pytest.raises(ValueError, match="collinear with the origin"):
+            geodesic_between(1, z2)
 
 
 def test_apex_closed_form_for_ideal_endpoints():
@@ -175,10 +165,6 @@ def test_apex_is_the_minimum_modulus_point():
         assert abs(on_arc) >= abs(apex) - 1e-12
 
 
-def test_apex_of_diameter_is_origin():
-    assert geodesic_apex(-0.5, 0.7) == 0j
-
-
 # --- side pairings -------------------------------------------------------
 
 
@@ -186,7 +172,7 @@ def test_side_pairing_swaps_endpoints_and_fixes_apex():
     rng = random.Random(25)
     checked = 0
     while checked < 40:
-        z1, z2 = disk_point(rng), disk_point(rng)
+        z1, z2 = ideal_point(rng), ideal_point(rng)
         if abs(z1 - z2) < 0.1 or abs((z1.conjugate() * z2).imag) < 1e-3:
             continue
         m = geodesic_apex(z1, z2)
@@ -229,21 +215,13 @@ def test_side_pairing_frozen_first_generator():
 # --- areas and angles ----------------------------------------------------
 
 
-def test_polygon_area_from_angle_list():
-    angles = [0.2, 0.3, 0.1, 0.25]
-    assert abs(polygon_area(angles) - (2 * math.pi - 0.85)) < 1e-15
-    assert abs(polygon_area([0.3, 0.4, 0.5]) - (math.pi - 1.2)) < 1e-15
-    with pytest.raises(ValueError):
-        polygon_area([0.1, 0.2])
-    with pytest.raises(ValueError):
-        polygon_area([0.1, 0.2, math.pi])
-
-
 def test_ideal_polygon_area_is_exact():
     verts = [cmath.exp(2j * math.pi * k / 6) for k in range(6)]
     poly = polygon_from_vertices(verts)
     assert all(poly.ideal)
     assert polygon_area(poly) == 4 * math.pi
+    with pytest.raises(ValueError, match="at least 3 vertices"):
+        polygon_area(HyperbolicPolygon(poly.vertices[:2], poly.sides[:2], (True, True)))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -280,45 +258,72 @@ def test_interior_angles_match_finite_difference_tangents():
     def walk(side: GeodesicArc, v: complex, eps: float) -> complex:
         e1, e2 = side.endpoints
         other = e2 if abs(v - e1) < abs(v - e2) else e1
-        if side.kind == "diameter":
-            return v + eps * (other - v) / abs(other - v)
         a0 = cmath.phase(v - side.center)
         a1 = cmath.phase(other - side.center)
         da = (a1 - a0 + math.pi) % (2 * math.pi) - math.pi
         step = math.copysign(eps / side.radius, da)
         return side.center + side.radius * cmath.exp(1j * (a0 + step))
 
-    def angles_and_area(poly):
-        """Interior angles checked against finite-difference tangents,
-        and the Gauss-Bonnet area checked against them."""
-        angles = interior_angles(poly)
-        n = len(poly.vertices)
-        eps = 1e-6
-        for i, v in enumerate(poly.vertices):
-            p_prev = walk(poly.sides[(i - 1) % n], v, eps)
-            p_next = walk(poly.sides[i], v, eps)
-            u1 = (p_prev - v) / abs(p_prev - v)
-            u2 = (p_next - v) / abs(p_next - v)
-            measured = math.acos(max(-1.0, min(1.0, (u1.conjugate() * u2).real)))
-            assert abs(measured - angles[i]) < 1e-4
-        area = polygon_area(poly)
-        assert abs(area - ((n - 2) * math.pi - sum(angles))) < 1e-12
-        return angles, area
-
     # shrunk regular pentagon: finite vertices, equal angles by symmetry
     verts = [0.8 * cmath.exp(2j * math.pi * k / 5) for k in range(5)]
     poly = polygon_from_vertices(verts)
     assert not any(poly.ideal)
-    angles, area = angles_and_area(poly)
+    angles = interior_angles(poly)
+    eps = 1e-6
+    for i, v in enumerate(poly.vertices):
+        p_prev = walk(poly.sides[(i - 1) % 5], v, eps)
+        p_next = walk(poly.sides[i], v, eps)
+        u1 = (p_prev - v) / abs(p_prev - v)
+        u2 = (p_next - v) / abs(p_next - v)
+        measured = math.acos(max(-1.0, min(1.0, (u1.conjugate() * u2).real)))
+        assert abs(measured - angles[i]) < 1e-4
     assert max(angles) - min(angles) < 1e-9
+    area = polygon_area(poly)
+    assert abs(area - (3 * math.pi - sum(angles))) < 1e-12
     assert 0 < area < 3 * math.pi
 
-    # a vertex at the origin: both sides through it are diameters
-    poly = polygon_from_vertices([0, 0.6, 0.6j])
-    assert [side.kind for side in poly.sides] == ["diameter", "arc", "diameter"]
-    angles, area = angles_and_area(poly)
-    assert abs(angles[0] - math.pi / 2) < 1e-12
-    assert 0 < area < math.pi
+
+def regular_tile(p: int, q: int) -> HyperbolicPolygon:
+    """The regular p-gon centred at 0 with interior angles 2 pi/q
+    (Beardon, The Geometry of Discrete Groups, 1983).
+
+    Vertex k is tanh(R/2) e^(2 pi i k/p), cosh R = cot(pi/p) cot(pi/q).
+    Side k lies at the distance r from 0, cosh r = cos(pi/q)/sin(pi/p),
+    at the mid-angle phi = pi (2k + 1)/p; it is `_ideal_arc`'s closed
+    form, center e^(i phi)/cos(delta) and radius tan(delta), with
+    tan(pi/4 - delta/2) = tanh(r/2).
+    """
+    big_r = math.acosh(1 / (math.tan(math.pi / p) * math.tan(math.pi / q)))
+    r = math.acosh(math.cos(math.pi / q) / math.sin(math.pi / p))
+    delta = math.pi / 2 - 2 * math.atan(math.tanh(r / 2))
+    verts = tuple(
+        math.tanh(big_r / 2) * cmath.exp(2j * math.pi * k / p) for k in range(p)
+    )
+    sides = tuple(
+        GeodesicArc(
+            (verts[k], verts[(k + 1) % p]),
+            cmath.exp(1j * math.pi * (2 * k + 1) / p) / math.cos(delta),
+            math.tan(delta),
+        )
+        for k in range(p)
+    )
+    return HyperbolicPolygon(verts, sides, (False,) * p)
+
+
+def test_regular_tiles_of_the_degree_families_have_their_angles_and_area():
+    for g in range(2, 11):
+        area = 4 * math.pi * (g - 1)
+        for p, q in ((4 * g, 4 * g), (4 * g + 2, 2 * g + 1), (12 * g - 6, 3)):
+            tile = regular_tile(p, q)
+            for k, v in enumerate(tile.vertices):
+                assert point_on_geodesic(v, tile.sides[k]) <= 1e-14
+                assert point_on_geodesic(v, tile.sides[k - 1]) <= 1e-14
+            for angle in interior_angles(tile):
+                assert abs(angle - 2 * math.pi / q) <= 1e-12
+            assert abs(polygon_area(tile) - area) <= 1e-13 * area
+            # negative control: the tile with q + 1 at each vertex has
+            # smaller angles, so a larger area
+            assert abs(polygon_area(regular_tile(p, q + 1)) - area) > 1e-3
 
 
 def test_interior_angles_approach_the_euclidean_limit_near_zero():

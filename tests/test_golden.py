@@ -111,12 +111,14 @@ def test_render_svg_bytes_are_pinned(tmp_path):
 
 # genus -> sha256 of the surface path's reprs for both signs and the
 # fixed indices 1, g and 2g + 1 (surface_path_reprs), recorded when the
-# boundary half-turns were first written in s_b from the side centers
+# boundary half-turns were first written in s_b from the side centers,
+# and moved once, with the same floats, when GeodesicArc lost its `kind`
+# and `direction` fields
 GOLDEN_SURFACE_PATH = {
-    2: "e41c7b9fbdd9e92ab2dc9fe044f8a18096aca5619b3faeadf79012cd1b8663c6",
-    3: "8e1aa2ff78ee0f9fdf4733ce53cd3161718c70cae43d4e29266e6f80edf29470",
-    10: "cceb906a529fe886c512a3940fb0ddfe434b1846daf651a1830257d238c06294",
-    41: "d298468b5dba984e8f1606c625e9b3bd19c9c5bccab54a773e30070fac02a5ac",
+    2: "5fada23a5138d4ccb82b9ee403e5e3bac2b0c97b7dc09ee5321ce3f57b8cce53",
+    3: "9240a15dfbd7d8ac1127698357d16040c35ec115fe85650d71253daf0e75c731",
+    10: "066827c3a3953845ab3221c0ca2fd5d35be960cc80970021bdee7e62534855bb",
+    41: "345b0bfc63a5e8a18a1025808eac48aa6e70c86f7fafe2d00cb9bfa85f884e12",
 }
 
 
@@ -144,10 +146,11 @@ def test_surface_path_records_are_pinned(g):
 # sha256 of every surface_sweep request's records, g = 1..41, both signs
 # and every fixed index k = 1..2g+1 (full_surface_range_parts), recorded
 # when the boundary half-turns were first written in s_b from the side
-# centers. The worst product's |det - 1| is about 420 times under its
-# bound, so a moved bit changes a digest here, not a verdict.
+# centers, and moved as GOLDEN_SURFACE_PATH did. The worst product's
+# |det - 1| is about 420 times under its bound, so a moved bit changes a
+# digest here, not a verdict.
 GOLDEN_FULL_SURFACE_RANGE = (
-    "bb38bf29b27b1a2c84861dfd61cc6a49074c9aa16f78dfd83f60cfd54622e3eb"
+    "8101248b8e0fe92271cc2956545b64503ebc7c2ae361ced1544665f181a2df90"
 )
 
 

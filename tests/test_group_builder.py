@@ -670,7 +670,7 @@ def reference_side(curve, j: int) -> GeodesicArc:
     t = math.tan(math.pi / n)
     mid = math.pi * ((2 * j + (2 if curve.sign == 1 else 3)) % (2 * n)) / n
     return GeodesicArc(
-        "arc", (rs[j], rs[(j + 1) % n]),
+        (rs[j], rs[(j + 1) % n]),
         center=cmath.exp(1j * mid) * math.sqrt(1 + t * t), radius=t,
     )
 

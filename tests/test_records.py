@@ -12,22 +12,20 @@ from fuchsian.group_builder import VerifyEntry, VerifyReport
 from fuchsian.tessellation import CycleCount, GenusRange, TessellationSpec
 from fuchsian.whittaker import HdeParams
 
-ARC = GeodesicArc("arc", (1j, 1 + 0j), 1 + 1j, 1.0, None)
+ARC = GeodesicArc((1j, 1 + 0j), 1 + 1j, 1.0)
 ENTRY = VerifyEntry("surface[1]", 2e-16, 3.5 + 1e-17j, "hyperbolic", None, True)
 
 # (record type, keyword arguments, one field changed, expected repr)
 RECORDS = [
     (HyperellipticCurve, {"genus": 2, "sign": -1}, {"sign": 1},
      "HyperellipticCurve(genus=2, sign=-1)"),
-    # center, radius and direction default to None
-    (GeodesicArc, {"kind": "diameter", "endpoints": (-1 + 0j, 1 + 0j),
-                   "direction": 1 + 0j}, {"direction": -1 + 0j},
-     "GeodesicArc(kind='diameter', endpoints=((-1+0j), (1+0j)), "
-     "center=None, radius=None, direction=(1+0j))"),
+    (GeodesicArc, {"endpoints": (1j, 1 + 0j), "center": 1 + 1j, "radius": 1.0},
+     {"radius": 2.0},
+     "GeodesicArc(endpoints=(1j, (1+0j)), center=(1+1j), radius=1.0)"),
     (HyperbolicPolygon, {"vertices": (1j, 1 + 0j), "sides": (ARC,),
                          "ideal": (True, True)}, {"ideal": (True, False)},
-     "HyperbolicPolygon(vertices=(1j, (1+0j)), sides=(GeodesicArc(kind='arc', "
-     "endpoints=(1j, (1+0j)), center=(1+1j), radius=1.0, direction=None),), "
+     "HyperbolicPolygon(vertices=(1j, (1+0j)), sides=(GeodesicArc("
+     "endpoints=(1j, (1+0j)), center=(1+1j), radius=1.0),), "
      "ideal=(True, True))"),
     (GenusRange, {"g_min": 4, "g_max": 12}, {"g_max": 11},
      "GenusRange(g_min=4, g_max=12)"),

@@ -1,5 +1,7 @@
 """Tests for exact tessellation and genus-range arithmetic."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,14 +25,55 @@ def test_genus_range_known_values():
     assert (genus_range(2, 9).g_min, genus_range(2, 9).g_max) == (0, 4)
 
 
-def test_genus_range_ceiling_is_exact_on_all_residues():
-    for m in range(2, 12):
-        for n in range(2, 12):
-            gr = genus_range(m, n)
-            prod = (m - 2) * (n - 2)
-            assert gr.g_min == (prod + 3) // 4
-            assert gr.g_min * 4 >= prod
-            assert (gr.g_min - 1) * 4 < prod or gr.g_min == 0
+def rotation_system_genera(m: int, n: int):
+    """The genus of K_{m,n}'s embedding for each of its rotation systems.
+
+    Vertices 0..m-1 form one part and m..m+n-1 the other. A rotation
+    system gives each vertex a cyclic order of its neighbours; the faces
+    are the orbits of the darts (u, v) under (u, v) -> (v, w), w the
+    neighbour that follows u around v, and the genus is
+    (2 - V + E - F)/2.
+    """
+    left, right = range(m), range(m, m + n)
+
+    def cyclic_orders(neighbours):
+        first, *rest = neighbours
+        return [(first, *order) for order in itertools.permutations(rest)]
+
+    vertices = [*left, *right]
+    choices = [cyclic_orders(right if v < m else left) for v in vertices]
+    darts = [(u, v) for u in left for v in right]
+    darts += [(v, u) for u, v in darts]
+    for system in itertools.product(*choices):
+        follow = {}
+        for v, order in zip(vertices, system):
+            for i, u in enumerate(order):
+                follow[u, v] = order[(i + 1) % len(order)]
+        faces, seen = 0, set()
+        for dart in darts:
+            if dart in seen:
+                continue
+            faces += 1
+            while dart not in seen:
+                seen.add(dart)
+                u, v = dart
+                dart = (v, follow[u, v])
+        twice, odd = divmod(2 - (m + n) + m * n - faces, 2)
+        assert not odd
+        yield twice
+
+
+def test_genus_range_matches_the_enumerated_rotation_systems():
+    # every K_{m,n}, 2 <= m <= n, with (m-1)!^n (n-1)!^m <= 10^4
+    # rotation systems: K_{2,2} to K_{2,5}, K_{3,3} and K_{3,4}
+    small = [
+        (m, n) for m in range(2, 5) for n in range(m, 7)
+        if math.factorial(m - 1) ** n * math.factorial(n - 1) ** m <= 10**4
+    ]
+    assert small == [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4)]
+    for m, n in small:
+        genera = set(rotation_system_genera(m, n))
+        assert (min(genera), max(genera)) == genus_range(m, n), (m, n)
 
 
 def test_genus_range_validation():
