@@ -40,15 +40,33 @@ class SeriesNotConvergedError(NumericalError, ValueError):
 
 
 def _is_pole(x: float) -> bool:
-    """Whether Gamma has a pole at x (a nonpositive integer)."""
+    """Whether Gamma has a pole at finite x (a nonpositive integer)."""
     return x <= 0 and x == int(x)
+
+
+def _reject_non_finite(alpha: float, beta: float, gamma: float) -> None:
+    """ValueError naming the first parameter that is infinite or NaN.
+
+    A non-finite parameter is bad input: checked before any Gamma value
+    or sum, it is neither an OverflowError from the integer tests nor a
+    NaN sum that runs out of its term budget. Callers screen first with
+    math.isfinite(alpha + beta + gamma), one test on the hot path: the
+    sum is finite only if all three are, and when finite parameters
+    overflow it, none is named here.
+    """
+    for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+        if not math.isfinite(value):
+            raise ValueError(f"parameter {name} is not finite: {value}")
 
 
 def gamma_fn(x: float) -> float:
     """Gamma function of a real argument: math.gamma behind a pole check.
 
-    Nonpositive integers raise ValueError naming the pole.
+    Nonpositive integers raise ValueError naming the pole, and an
+    infinite or NaN argument ValueError naming it.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"gamma argument is not finite: {x}")
     if _is_pole(x):
         raise ValueError(f"gamma pole at nonpositive integer {int(x)}")
     return math.gamma(x)
@@ -69,10 +87,10 @@ def _series(
     or at once on a term that is exactly 0 (a terminating series);
     SeriesNotConvergedError, naming the sum and |z|, if neither happens
     in SERIES_MAX_TERMS. A term that leaves a double unchanged is below
-    half an ulp of it, so every term that moves the result is kept.
-    hyp2f1 rejects a NaN argument before any sum; a sum that turns NaN
-    otherwise (a NaN parameter) never compares equal and runs out of
-    terms.
+    half an ulp of it, so every term that moves the result is kept. A
+    NaN partial sum never compares equal and would run out of terms, so
+    hyp2f1 and continuation_residuals reject a NaN argument and a
+    non-finite parameter before any sum.
     """
     if z.imag == 0:
         z = z.real
@@ -94,6 +112,83 @@ def _series(
                 return complex(total)
         else:
             quiet = 0
+        n += 1.0
+    raise _not_converged(name, abs(z))
+
+
+def _series_from(
+    alpha: float,
+    beta: float,
+    gamma: float,
+    z: complex,
+    term: complex,
+    total: complex,
+    quiet: int,
+    n: float,
+    name: str,
+) -> complex:
+    """_series' loop from its state after n terms (the last term, the
+    partial sum and the count of quiet terms) with the rest of the
+    budget, for the series of _series_pair that outlasts the other.
+    _series keeps a loop of its own: calling this from it costs every
+    hyp2f1 sum a call, about 1.5% of hyp2f1's time."""
+    for _ in range(SERIES_MAX_TERMS - int(n)):
+        term *= (alpha + n) * (beta + n) / ((gamma + n) * (n + 1.0)) * z
+        before = total
+        total += term
+        if total == before:
+            quiet += 1
+            if not term or quiet >= SERIES_CONSECUTIVE:
+                return complex(total)
+        else:
+            quiet = 0
+        n += 1.0
+    raise _not_converged(name, abs(z))
+
+
+def _series_pair(
+    first: tuple[float, float, float],
+    second: tuple[float, float, float],
+    z: complex,
+    name: str,
+) -> tuple[complex, complex]:
+    """The Maclaurin series of F(*first; z) and F(*second; z), summed in
+    one loop while both run.
+
+    Each series stops by _series' rule and budget, and once one has
+    stopped the other goes on alone (_series_from), so both sums are
+    those of two _series calls bit for bit; a series that runs out of
+    terms raises _series' error for `name`.
+    """
+    a1, b1, c1 = first
+    a2, b2, c2 = second
+    if z.imag == 0:
+        z = z.real
+        t1 = s1 = t2 = s2 = 1.0
+    else:
+        t1 = s1 = t2 = s2 = complex(1.0)
+    q1 = q2 = 0
+    n = 0.0
+    for _ in range(SERIES_MAX_TERMS):
+        t1 *= (a1 + n) * (b1 + n) / ((c1 + n) * (n + 1.0)) * z
+        before = s1
+        s1 += t1
+        if s1 == before:
+            q1 += 1
+            if not t1 or q1 >= SERIES_CONSECUTIVE:
+                return complex(s1), _series_from(a2, b2, c2, z, t2, s2, q2, n, name)
+        else:
+            q1 = 0
+        t2 *= (a2 + n) * (b2 + n) / ((c2 + n) * (n + 1.0)) * z
+        before = s2
+        s2 += t2
+        if s2 == before:
+            q2 += 1
+            if not t2 or q2 >= SERIES_CONSECUTIVE:
+                n += 1.0
+                return _series_from(a1, b1, c1, z, t1, s1, q1, n, name), complex(s2)
+        else:
+            q2 = 0
         n += 1.0
     raise _not_converged(name, abs(z))
 
@@ -161,7 +256,8 @@ def hyp2f1(alpha: float, beta: float, gamma: float, z: complex) -> complex:
     For |z| < 1 it sums the series whose argument has the smallest
     modulus among four representations (DLMF 15.8):
     - zeta = (z/(2-z))^2, the quadratic transformation (15.8.13) of a
-      triple with gamma == 2 * beta, as every hde_params triple has:
+      triple with gamma == 2 * beta, as every hde_params triple has
+      (_quadratic_sum):
       (1-z/2)^(-alpha) F(alpha/2, alpha/2 + 1/2; beta + 1/2; zeta).
       It is tried first, and only for the second parameter: the
       swapped F(beta, alpha; gamma; z) takes another sum. |zeta| is
@@ -189,9 +285,12 @@ def hyp2f1(alpha: float, beta: float, gamma: float, z: complex) -> complex:
 
     z = 1 uses the Gauss summation Gamma(gamma) Gamma(gamma-alpha-beta)
     / (Gamma(gamma-alpha) Gamma(gamma-beta)), which needs
-    gamma - alpha - beta > 0. A NaN argument is bad input: ValueError
-    at once, not a sum run out of terms.
+    gamma - alpha - beta > 0. A NaN argument or an infinite or NaN
+    parameter is bad input: ValueError naming it at once, not a sum run
+    out of terms or a NaN value.
     """
+    if not math.isfinite(alpha + beta + gamma):
+        _reject_non_finite(alpha, beta, gamma)
     if _is_pole(gamma):
         raise ValueError("gamma parameter is a nonpositive integer")
     z = complex(z)
@@ -205,7 +304,8 @@ def hyp2f1(alpha: float, beta: float, gamma: float, z: complex) -> complex:
             * gamma_fn(gamma - alpha - beta)
             / (gamma_fn(gamma - alpha) * gamma_fn(gamma - beta))
         )
-    if abs(z) >= 1:
+    mod_z = abs(z)
+    if mod_z >= 1:
         raise ValueError("series diverges for |z| >= 1 (z != 1)")
     w = z / (z - 1)
     c = gamma - alpha - beta
@@ -215,20 +315,14 @@ def hyp2f1(alpha: float, beta: float, gamma: float, z: complex) -> complex:
     # F(0.25, 0.25; 1.5 + 1e-9; 0.9)), and terms of size about
     # n^(gamma-2) |1-z|^n, which grow before they decay for gamma > 2
     # (1.2e-9 at F(3, 3; 6.5; 0.99 e^(-0.9i))).
-    mod_z, mod_w, mod_1z = abs(z), abs(w), abs(1 - z)
+    mod_w, mod_1z = abs(w), abs(1 - z)
     smallest = min(mod_z, mod_w, mod_1z)
     if gamma == 2 * beta:
         # 15.8.13, on the second parameter only (see above)
         q = z / (2 - z)
         zeta = q * q
         if abs(zeta) < smallest:
-            return (1 - 0.5 * z) ** -alpha * _series(
-                0.5 * alpha,
-                0.5 * alpha + 0.5,
-                beta + 0.5,
-                zeta,
-                "quadratic series in (z/(2-z))^2",
-            )
+            return _quadratic_sum(alpha, beta, z, zeta)
     if smallest > TAYLOR_MIN_MODULUS:
         return _taylor_sum(alpha, beta, gamma, z)
     if (
@@ -245,6 +339,21 @@ def hyp2f1(alpha: float, beta: float, gamma: float, z: complex) -> complex:
             alpha, gamma - beta, gamma, w, "Pfaff series in z/(z-1)"
         )
     return _series(alpha, beta, gamma, z)
+
+
+def _quadratic_sum(alpha: float, beta: float, z: complex, zeta: complex) -> complex:
+    """F(alpha, beta; 2 beta; z) by the quadratic transformation (DLMF
+    15.8.13), (1-z/2)^(-alpha) F(alpha/2, alpha/2 + 1/2; beta + 1/2;
+    zeta), with zeta = (z/(2-z))^2 formed by the caller. |zeta| < 1 for
+    Re z < 1, so it converges wherever |z| < 1.
+    """
+    return (1 - 0.5 * z) ** -alpha * _series(
+        0.5 * alpha,
+        0.5 * alpha + 0.5,
+        beta + 0.5,
+        zeta,
+        "quadratic series in (z/(2-z))^2",
+    )
 
 
 class HdeParams(NamedTuple):
@@ -270,8 +379,11 @@ def continuation_constants(
     """The classical Gamma-ratio constants of the continuation to z = 1:
     A = Gamma(gamma) Gamma(c) / (Gamma(gamma-alpha) Gamma(gamma-beta)),
     B = Gamma(gamma) Gamma(-c) / (Gamma(alpha) Gamma(beta)),
-    with c = gamma - alpha - beta.
+    with c = gamma - alpha - beta. An infinite or NaN parameter raises
+    ValueError naming it.
     """
+    if not math.isfinite(alpha + beta + gamma):
+        _reject_non_finite(alpha, beta, gamma)
     c = gamma - alpha - beta
     gam = gamma_fn(gamma)
     coeff_a = gam * gamma_fn(c) / (gamma_fn(gamma - alpha) * gamma_fn(gamma - beta))
@@ -286,14 +398,18 @@ def _connection_sum(
     A F(alpha, beta; alpha+beta-gamma+1; 1-z) +
     B (1-z)^c F(gamma-alpha, gamma-beta; c+1; 1-z), with c =
     gamma-alpha-beta and (A, B) = constants from continuation_constants.
+    The two series share the argument 1 - z and are summed in one loop
+    (_series_pair).
     """
     coeff_a, coeff_b = constants
     c = gamma - alpha - beta
-    name = "DLMF 15.8.4 sum in 1-z"
-    rhs = coeff_a * _series(alpha, beta, alpha + beta - gamma + 1, 1 - z, name)
-    return rhs + coeff_b * (1 - z) ** c * _series(
-        gamma - alpha, gamma - beta, c + 1, 1 - z, name
+    at_zero, at_one = _series_pair(
+        (alpha, beta, alpha + beta - gamma + 1),
+        (gamma - alpha, gamma - beta, c + 1),
+        1 - z,
+        "DLMF 15.8.4 sum in 1-z",
     )
+    return coeff_a * at_zero + coeff_b * (1 - z) ** c * at_one
 
 
 def continuation_residual(
@@ -310,26 +426,38 @@ def continuation_residuals(
     alpha: float, beta: float, gamma: float, zs: Iterable[complex]
 ) -> list[float]:
     """continuation_residual at each point of zs, for one parameter
-    triple: A and B are computed once. Every point is checked before
-    any Gamma value is evaluated. Both sides sum the plain series, so
-    for z > 1/2 the check never compares the 1 - z formula that hyp2f1
-    uses there with itself.
+    triple: A and B are computed once. The parameters and every point
+    are checked before any Gamma value is evaluated: a non-finite
+    parameter or a NaN point is a ValueError naming it.
+
+    The reference side F(z) is the quadratic sum (_quadratic_sum) when
+    gamma == 2 * beta, as for every genus triple, and the Maclaurin
+    series in z otherwise. Neither is the 1 - z formula that hyp2f1
+    uses for z > 1/2, so the check never compares that formula with
+    itself.
     """
+    if not math.isfinite(alpha + beta + gamma):
+        _reject_non_finite(alpha, beta, gamma)
     c = gamma - alpha - beta
     if c == int(c):
         raise ValueError("continuation degenerates for integer gamma-alpha-beta")
     zs = [complex(z) for z in zs]
     for z in zs:
+        if cmath.isnan(z):
+            raise ValueError("argument z is NaN")
         if abs(z) >= 1 or abs(1 - z) >= 1:
             raise ValueError("z must satisfy |z| < 1 and |1 - z| < 1")
     constants = continuation_constants(alpha, beta, gamma)
-    return [
-        abs(
-            _series(alpha, beta, gamma, z)
-            - _connection_sum(alpha, beta, gamma, constants, z)
-        )
-        for z in zs
-    ]
+    quadratic = gamma == 2 * beta
+    out = []
+    for z in zs:
+        if quadratic:
+            q = z / (2 - z)
+            reference = _quadratic_sum(alpha, beta, z, q * q)
+        else:
+            reference = _series(alpha, beta, gamma, z)
+        out.append(abs(reference - _connection_sum(alpha, beta, gamma, constants, z)))
+    return out
 
 
 def connection_map(g: int) -> MoebiusMap:

@@ -36,11 +36,11 @@ GOLDEN_STDOUT = {
     ("whittaker", "--genus", "80"): (
         "6e738d56631495b076405bfb93c6de06aa956567c6d373ce5a6ba48dacd7ebc0", 0),
     ("verify",): (
-        "d1021c722f4ffbd00950ac6c3607899b69e426d4b2b8389c94705d71dbf25c0f", 0),
+        "f8ac48d50adfab0000d19a9312570be46f5e14ebd1cb7a8d0269746b2901538e", 0),
     ("verify", "--perturb", "1e-2"): (
-        "bd882f89780db4c2d2e3b64988071586e867793a3765e24a51a3498dd11a2ea9", 1),
+        "96a0a9d23af15261856fe398707390ba25a960843a6f7a8439e54d726f792ffe", 1),
     ("verify", "--perturb", "0.5"): (
-        "11a99044cd62df9598693b517c4016c3c49c16474dbef5b78fc65d1f43cdc1dd", 1),
+        "0ecdd00374aed08ff74e76d9e86a2bfe6bb07bae3cd709f1346d5c498069edc6", 1),
     ("genus", "5", "7"): (
         "5f9ae88ae06cf2167140d81ab5ea2d0b2077ddf022c8ab13b7a6703941338339", 0),
     ("tessellation", "--degree", "9", "--genus", "4"): (

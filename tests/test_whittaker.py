@@ -8,6 +8,7 @@ values are checked against mpmath.
 import cmath
 import math
 import random
+import re
 
 import mpmath
 import pytest
@@ -180,6 +181,47 @@ def test_a_nan_argument_is_bad_input(z, monkeypatch):
     assert not isinstance(bad.value, NumericalError)
 
 
+@pytest.mark.parametrize(
+    ("call", "args", "message"),
+    [
+        ("gamma_fn", (-math.inf,), "gamma argument is not finite: -inf"),
+        ("gamma_fn", (math.inf,), "gamma argument is not finite: inf"),
+        ("gamma_fn", (math.nan,), "gamma argument is not finite: nan"),
+        ("continuation_constants", (0.2, -math.inf, 0.8), "beta is not finite: -inf"),
+        ("hyp2f1", (0.2, 0.4, -math.inf, 0.5), "gamma is not finite: -inf"),
+        ("hyp2f1", (math.inf, 0.4, 0.8, 0.5), "alpha is not finite: inf"),
+        ("hyp2f1", (math.nan, 0.4, 0.8, 0.5), "alpha is not finite: nan"),
+        ("continuation_residual", (0.2, 0.4, math.inf, 0.3), "gamma is not finite: inf"),
+        ("continuation_residual", (0.2, 0.4, math.nan, 0.3), "gamma is not finite: nan"),
+        ("continuation_residual", (0.2, 0.4, 0.8, math.nan), "argument z is NaN"),
+        ("continuation_residual", (0.2, 0.4, 0.8, complex(0.3, math.nan)), "z is NaN"),
+    ],
+)
+def test_a_non_finite_input_is_bad_input(call, args, message, monkeypatch):
+    # a plain ValueError naming the input, raised before any Gamma value
+    # or sum: not an OverflowError from an integer test, a NaN value, or
+    # a NaN sum that runs out of its term budget
+    function = getattr(whittaker, call)
+
+    def unreachable(*args):
+        raise AssertionError(f"computed from bad input: {args}")
+
+    for name in ("gamma_fn", "_series", "_series_pair"):
+        monkeypatch.setattr(whittaker, name, unreachable)
+    with pytest.raises(ValueError, match=re.escape(message)) as bad:
+        function(*args)
+    assert not isinstance(bad.value, NumericalError)
+
+
+def test_finite_parameters_whose_sum_overflows_are_not_rejected():
+    # the finiteness screen adds the three parameters; when that sum
+    # overflows, each parameter is tested on its own and none is named
+    assert not math.isfinite(1e308 + 1e308 - 1.0)
+    whittaker._reject_non_finite(1e308, 1e308, -1.0)
+    with pytest.raises(ValueError, match="gamma is not finite: inf"):
+        whittaker._reject_non_finite(1e308, 1e308, math.inf)
+
+
 def test_an_alternating_sum_near_the_negative_real_axis_keeps_its_digits():
     # Im F is about 3e-4 of Re F here, and a complex partial sum stagnates
     # only once both parts do: the sum takes 49 terms, where a stop test
@@ -191,6 +233,88 @@ def test_an_alternating_sum_near_the_negative_real_axis_keeps_its_digits():
     got = hyp2f1(p.alpha, p.beta, p.gamma, z)
     assert abs(got - want) <= 1e-13 * abs(want)
     assert abs(got.imag - want.imag) <= 1e-13 * abs(want.imag)
+
+
+def bits(value: complex) -> tuple[str, str]:
+    """The exact bits of a complex value, telling -0.0 from 0.0."""
+    return value.real.hex(), value.imag.hex()
+
+
+def separate_sums(first, second, w, name):
+    """Two _series calls, or the text of the error the first one raises."""
+    try:
+        return tuple(bits(whittaker._series(*p, w, name)) for p in (first, second))
+    except SeriesNotConvergedError as failure:
+        return str(failure)
+
+
+def fused_sums(first, second, w, name):
+    """_series_pair, or the text of the error it raises."""
+    try:
+        return tuple(bits(v) for v in whittaker._series_pair(first, second, w, name))
+    except SeriesNotConvergedError as failure:
+        return str(failure)
+
+
+def connection_pair(alpha, beta, gamma):
+    """The parameter triples of the two 15.8.4 series."""
+    c = gamma - alpha - beta
+    return (alpha, beta, alpha + beta - gamma + 1), (gamma - alpha, gamma - beta, c + 1)
+
+
+def test_the_fused_pair_sums_bit_for_bit_as_two_series():
+    # genus and generic triples at real and complex arguments, and
+    # terminating series: the fused loop stops each sum where _series
+    # does and leaves it alone from then on
+    rng = random.Random(47)
+    cases = []
+    for g in (2, 3, 41, 1000, 3000):
+        pair = connection_pair(*tuple(hde_params(g))[:3])
+        for z in (0.1, 0.3, 0.5, 0.7, 0.9, 0.5 + 0.3j, 0.3 - 0.2j, 0.7 + 0.4j):
+            cases.append((*pair, 1 - z))
+    for _ in range(300):
+        triples = [
+            (rng.uniform(-1, 2), rng.uniform(-1, 2), rng.uniform(0.1, 2.5))
+            for _ in range(2)
+        ]
+        w = cmath.rect(rng.uniform(0, 0.9), rng.choice((0.0, rng.uniform(-3, 3))))
+        cases.append((*triples, w))
+    # F(-2, 0.7; 1.3; w) ends at its zero term, F(-1, 2; 1; 0.5) = 0
+    for ending in ((-2, 0.7, 1.3), (-1, 2, 1)):
+        for w in (0.5, 0.5 + 0.25j):
+            cases.append((ending, (0.2, 0.4, 0.8), w))
+            cases.append(((0.2, 0.4, 0.8), ending, w))
+    for first, second, w in cases:
+        want = separate_sums(first, second, complex(w), CONNECTION)
+        assert fused_sums(first, second, complex(w), CONNECTION) == want
+
+
+@pytest.mark.parametrize("w", [0.5, 0.5 + 0.25j])
+def test_either_sum_of_the_fused_pair_runs_out_with_the_error_of_its_series(
+    w, monkeypatch
+):
+    # F(0.2, 0.4; 0.8; w) takes `most` terms and F(-2, 0.7; 1.3; w) ends
+    # in 3. The budget is read at call time and each sum has all of it:
+    # one term short of `most`, the long sum runs out in either place,
+    # with _series' error text, even after the short one has stopped;
+    # at `most` both finish
+    long, short = (0.2, 0.4, 0.8), (-2, 0.7, 1.3)
+    w = complex(w)
+    most = 1
+    while True:
+        monkeypatch.setattr(whittaker, "SERIES_MAX_TERMS", most)
+        if isinstance(separate_sums(long, short, w, CONNECTION), tuple):
+            break
+        most += 1
+    assert most > 10
+    for budget in (most - 1, most):
+        monkeypatch.setattr(whittaker, "SERIES_MAX_TERMS", budget)
+        for first, second in ((long, short), (short, long)):
+            want = separate_sums(first, second, w, CONNECTION)
+            if budget < most:
+                assert want == separate_sums(long, long, w, CONNECTION)
+                assert f"did not converge in {budget} terms" in want
+            assert fused_sums(first, second, w, CONNECTION) == want
 
 
 # the most terms any one sum takes over the grid below, and that plus 10%
@@ -235,18 +359,28 @@ def test_genus_triples_never_reach_the_taylor_sum(monkeypatch):
 
 
 QUADRATIC = "quadratic series in (z/(2-z))^2"
+MACLAURIN = "Maclaurin series in z"
+CONNECTION = "DLMF 15.8.4 sum in 1-z"
 
 
 def sums_taken(monkeypatch) -> list:
-    """Record the name of every series hyp2f1 sums from now on."""
+    """Record the name of every series hyp2f1 or the continuation check
+    sums from now on; the two series of a 15.8.4 pair, summed in one
+    loop, are recorded once each."""
     names = []
     series = whittaker._series
+    pair = whittaker._series_pair
 
-    def recording(alpha, beta, gamma, z, name="Maclaurin series in z"):
+    def recording(alpha, beta, gamma, z, name=MACLAURIN):
         names.append(name)
         return series(alpha, beta, gamma, z, name)
 
+    def recording_pair(first, second, z, name):
+        names.extend((name, name))
+        return pair(first, second, z, name)
+
     monkeypatch.setattr(whittaker, "_series", recording)
+    monkeypatch.setattr(whittaker, "_series_pair", recording_pair)
     return names
 
 
@@ -488,9 +622,10 @@ def test_continuation_residual_is_tiny_on_both_sides():
 
 
 def test_continuation_residual_sees_a_bent_constant(monkeypatch):
-    # negative control: both sides sum the plain series, so a bend of A
-    # shows up in the residual; were F(z) itself evaluated through the
-    # 1 - z connection (as hyp2f1 does for z > 1/2) the bend would cancel
+    # negative control: the reference side sums the quadratic series in
+    # (z/(2-z))^2, never the 1 - z connection, so a bend of A shows up in
+    # the residual; were F(z) itself evaluated through the 1 - z
+    # connection (as hyp2f1 does for z > 1/2) the bend would cancel
     constants = whittaker.continuation_constants
 
     def bent(alpha, beta, gamma):
@@ -502,6 +637,63 @@ def test_continuation_residual_sees_a_bent_constant(monkeypatch):
     zs = [0.2, 0.4, 0.6, 0.7, 0.8, 0.9]
     for residual in whittaker.continuation_residuals(p.alpha, p.beta, p.gamma, zs):
         assert residual > 1e-10
+
+
+def test_the_continuation_reference_side_is_the_quadratic_sum_for_genus_triples(
+    monkeypatch,
+):
+    # gamma = 2 beta (every genus triple) takes the quadratic series in
+    # (z/(2-z))^2, another triple the Maclaurin series; then the two
+    # 15.8.4 series in 1 - z. Neither reference is the 1 - z formula
+    names = sums_taken(monkeypatch)
+    zs = (0.2, 0.7, 0.5 + 0.3j)
+    for g in (2, 41, 1000):
+        p = hde_params(g)
+        names.clear()
+        whittaker.continuation_residuals(p.alpha, p.beta, p.gamma, zs)
+        assert names == [QUADRATIC, CONNECTION, CONNECTION] * len(zs)
+    names.clear()
+    whittaker.continuation_residuals(0.2, 0.4, 0.9, zs)
+    assert names == [MACLAURIN, CONNECTION, CONNECTION] * len(zs)
+
+
+@pytest.mark.parametrize("g", [2, 3, 5, 10, 50, 200, 1000, 3000])
+def test_the_continuation_reference_side_matches_mpmath(g, monkeypatch):
+    # the value the check compares the 15.8.4 sum with, F(z) by DLMF
+    # 15.8.13, within 4e-15 relative of 30-digit mpmath (1.1e-15 at most
+    # when written) on the real segment and off it
+    references = []
+    quadratic = whittaker._quadratic_sum
+
+    def recording(alpha, beta, z, zeta):
+        references.append(quadratic(alpha, beta, z, zeta))
+        return references[-1]
+
+    monkeypatch.setattr(whittaker, "_quadratic_sum", recording)
+    p = hde_params(g)
+    zs = [k / 10 for k in range(1, 10)] + [0.5 + 0.3j, 0.3 - 0.2j, 0.7 + 0.4j]
+    for z in zs:
+        assert abs(z) < 1 and abs(1 - z) < 1
+    whittaker.continuation_residuals(p.alpha, p.beta, p.gamma, zs)
+    assert len(references) == len(zs)
+    with mpmath.workdps(30):
+        for z, got in zip(zs, references):
+            want = complex(mpmath.hyp2f1(p.alpha, p.beta, p.gamma, z))
+            assert abs(got - want) <= 4e-15 * abs(want)
+
+
+def test_the_continuation_check_fits_a_budget_of_100_terms(monkeypatch):
+    # the quadratic reference side takes at most 75 terms at z = 0.9,
+    # where the Maclaurin series in z took 267 to 287
+    monkeypatch.setattr(whittaker, "SERIES_MAX_TERMS", 100)
+    for g in (2, 41, 1000):
+        p = hde_params(g)
+        residuals = whittaker.continuation_residuals(
+            p.alpha, p.beta, p.gamma, (0.5, 0.7, 0.9)
+        )
+        for residual in residuals:
+            assert math.isfinite(residual)
+            assert residual <= 1e-10
 
 
 def test_continuation_rejects_degenerate_and_out_of_range():
