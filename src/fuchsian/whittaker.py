@@ -94,26 +94,10 @@ def _series(
     """
     if z.imag == 0:
         z = z.real
-        term = total = 1.0
+        one = 1.0
     else:
-        term = total = complex(1.0)
-    quiet = 0
-    n = 0.0
-    for _ in range(SERIES_MAX_TERMS):
-        term *= (alpha + n) * (beta + n) / ((gamma + n) * (n + 1.0)) * z
-        before = total
-        total += term
-        if total == before:
-            # a zero term ends a terminating series: every later one is 0
-            if not term:
-                return complex(total)
-            quiet += 1
-            if quiet >= SERIES_CONSECUTIVE:
-                return complex(total)
-        else:
-            quiet = 0
-        n += 1.0
-    raise _not_converged(name, abs(z))
+        one = complex(1.0)
+    return _series_from(alpha, beta, gamma, z, one, one, 0, 0.0, name)
 
 
 def _series_from(
@@ -129,9 +113,9 @@ def _series_from(
 ) -> complex:
     """_series' loop from its state after n terms (the last term, the
     partial sum and the count of quiet terms) with the rest of the
-    budget, for the series of _series_pair that outlasts the other.
-    _series keeps a loop of its own: calling this from it costs every
-    hyp2f1 sum a call, about 1.5% of hyp2f1's time."""
+    budget: _series starts it at n = 0, and _series_pair goes on with it
+    for the series that outlasts the other. A term that is exactly 0
+    ends a terminating series: every later one is 0."""
     for _ in range(SERIES_MAX_TERMS - int(n)):
         term *= (alpha + n) * (beta + n) / ((gamma + n) * (n + 1.0)) * z
         before = total

