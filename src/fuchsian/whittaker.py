@@ -94,85 +94,24 @@ def _series(
     """
     if z.imag == 0:
         z = z.real
-        one = 1.0
+        term = total = 1.0
     else:
-        one = complex(1.0)
-    return _series_from(alpha, beta, gamma, z, one, one, 0, 0.0, name)
-
-
-def _series_from(
-    alpha: float,
-    beta: float,
-    gamma: float,
-    z: complex,
-    term: complex,
-    total: complex,
-    quiet: int,
-    n: float,
-    name: str,
-) -> complex:
-    """_series' loop from its state after n terms (the last term, the
-    partial sum and the count of quiet terms) with the rest of the
-    budget: _series starts it at n = 0, and _series_pair goes on with it
-    for the series that outlasts the other. A term that is exactly 0
-    ends a terminating series: every later one is 0."""
-    for _ in range(SERIES_MAX_TERMS - int(n)):
+        term = total = complex(1.0)
+    quiet = 0
+    n = 0.0
+    for _ in range(SERIES_MAX_TERMS):
         term *= (alpha + n) * (beta + n) / ((gamma + n) * (n + 1.0)) * z
         before = total
         total += term
         if total == before:
+            # a zero term ends a terminating series: every later one is 0
+            if not term:
+                return complex(total)
             quiet += 1
-            if not term or quiet >= SERIES_CONSECUTIVE:
+            if quiet >= SERIES_CONSECUTIVE:
                 return complex(total)
         else:
             quiet = 0
-        n += 1.0
-    raise _not_converged(name, abs(z))
-
-
-def _series_pair(
-    first: tuple[float, float, float],
-    second: tuple[float, float, float],
-    z: complex,
-    name: str,
-) -> tuple[complex, complex]:
-    """The Maclaurin series of F(*first; z) and F(*second; z), summed in
-    one loop while both run.
-
-    Each series stops by _series' rule and budget, and once one has
-    stopped the other goes on alone (_series_from), so both sums are
-    those of two _series calls bit for bit; a series that runs out of
-    terms raises _series' error for `name`.
-    """
-    a1, b1, c1 = first
-    a2, b2, c2 = second
-    if z.imag == 0:
-        z = z.real
-        t1 = s1 = t2 = s2 = 1.0
-    else:
-        t1 = s1 = t2 = s2 = complex(1.0)
-    q1 = q2 = 0
-    n = 0.0
-    for _ in range(SERIES_MAX_TERMS):
-        t1 *= (a1 + n) * (b1 + n) / ((c1 + n) * (n + 1.0)) * z
-        before = s1
-        s1 += t1
-        if s1 == before:
-            q1 += 1
-            if not t1 or q1 >= SERIES_CONSECUTIVE:
-                return complex(s1), _series_from(a2, b2, c2, z, t2, s2, q2, n, name)
-        else:
-            q1 = 0
-        t2 *= (a2 + n) * (b2 + n) / ((c2 + n) * (n + 1.0)) * z
-        before = s2
-        s2 += t2
-        if s2 == before:
-            q2 += 1
-            if not t2 or q2 >= SERIES_CONSECUTIVE:
-                n += 1.0
-                return _series_from(a1, b1, c1, z, t1, s1, q1, n, name), complex(s2)
-        else:
-            q2 = 0
         n += 1.0
     raise _not_converged(name, abs(z))
 
@@ -382,18 +321,14 @@ def _connection_sum(
     A F(alpha, beta; alpha+beta-gamma+1; 1-z) +
     B (1-z)^c F(gamma-alpha, gamma-beta; c+1; 1-z), with c =
     gamma-alpha-beta and (A, B) = constants from continuation_constants.
-    The two series share the argument 1 - z and are summed in one loop
-    (_series_pair).
     """
     coeff_a, coeff_b = constants
     c = gamma - alpha - beta
-    at_zero, at_one = _series_pair(
-        (alpha, beta, alpha + beta - gamma + 1),
-        (gamma - alpha, gamma - beta, c + 1),
-        1 - z,
-        "DLMF 15.8.4 sum in 1-z",
+    name = "DLMF 15.8.4 sum in 1-z"
+    rhs = coeff_a * _series(alpha, beta, alpha + beta - gamma + 1, 1 - z, name)
+    return rhs + coeff_b * (1 - z) ** c * _series(
+        gamma - alpha, gamma - beta, c + 1, 1 - z, name
     )
-    return coeff_a * at_zero + coeff_b * (1 - z) ** c * at_one
 
 
 def continuation_residual(

@@ -208,7 +208,7 @@ def test_a_non_finite_input_is_bad_input(call, args, message, monkeypatch):
     def unreachable(*args):
         raise AssertionError(f"computed from bad input: {args}")
 
-    for name in ("gamma_fn", "_series", "_series_pair"):
+    for name in ("gamma_fn", "_series"):
         monkeypatch.setattr(whittaker, name, unreachable)
     with pytest.raises(ValueError, match=re.escape(message)) as bad:
         function(*args)
@@ -226,88 +226,6 @@ def test_an_alternating_sum_near_the_negative_real_axis_keeps_its_digits():
     got = hyp2f1(p.alpha, p.beta, p.gamma, z)
     assert abs(got - want) <= 1e-13 * abs(want)
     assert abs(got.imag - want.imag) <= 1e-13 * abs(want.imag)
-
-
-def bits(value: complex) -> tuple[str, str]:
-    """The exact bits of a complex value, telling -0.0 from 0.0."""
-    return value.real.hex(), value.imag.hex()
-
-
-def separate_sums(first, second, w, name):
-    """Two _series calls, or the text of the first error they raise."""
-    try:
-        return tuple(bits(whittaker._series(*p, w, name)) for p in (first, second))
-    except SeriesNotConvergedError as failure:
-        return str(failure)
-
-
-def fused_sums(first, second, w, name):
-    """_series_pair, or the text of the error it raises."""
-    try:
-        return tuple(bits(v) for v in whittaker._series_pair(first, second, w, name))
-    except SeriesNotConvergedError as failure:
-        return str(failure)
-
-
-def connection_pair(alpha, beta, gamma):
-    """The parameter triples of the two 15.8.4 series."""
-    c = gamma - alpha - beta
-    return (alpha, beta, alpha + beta - gamma + 1), (gamma - alpha, gamma - beta, c + 1)
-
-
-def test_the_fused_pair_sums_bit_for_bit_as_two_series():
-    # genus and generic triples at real and complex arguments, and
-    # terminating series: the fused loop stops each sum where _series
-    # does and leaves it alone from then on
-    rng = random.Random(47)
-    cases = []
-    for g in (2, 3, 41, 1000, 3000):
-        pair = connection_pair(*tuple(hde_params(g))[:3])
-        for z in (0.1, 0.3, 0.5, 0.7, 0.9, 0.5 + 0.3j, 0.3 - 0.2j, 0.7 + 0.4j):
-            cases.append((*pair, 1 - z))
-    for _ in range(300):
-        triples = [
-            (rng.uniform(-1, 2), rng.uniform(-1, 2), rng.uniform(0.1, 2.5))
-            for _ in range(2)
-        ]
-        w = cmath.rect(rng.uniform(0, 0.9), rng.choice((0.0, rng.uniform(-3, 3))))
-        cases.append((*triples, w))
-    # F(-2, 0.7; 1.3; w) ends at its zero term, F(-1, 2; 1; 0.5) = 0
-    for ending in ((-2, 0.7, 1.3), (-1, 2, 1)):
-        for w in (0.5, 0.5 + 0.25j):
-            cases.append((ending, (0.2, 0.4, 0.8), w))
-            cases.append(((0.2, 0.4, 0.8), ending, w))
-    for first, second, w in cases:
-        want = separate_sums(first, second, complex(w), CONNECTION)
-        assert fused_sums(first, second, complex(w), CONNECTION) == want
-
-
-@pytest.mark.parametrize("w", [0.5, 0.5 + 0.25j])
-def test_either_sum_of_the_fused_pair_runs_out_with_the_error_of_its_series(
-    w, monkeypatch
-):
-    # F(0.2, 0.4; 0.8; w) takes `most` terms and F(-2, 0.7; 1.3; w) ends
-    # in 3. The budget is read at call time and each sum has all of it:
-    # one term short of `most`, the long sum runs out in either place,
-    # with _series' error text, even after the short one has stopped;
-    # at `most` both finish
-    long, short = (0.2, 0.4, 0.8), (-2, 0.7, 1.3)
-    w = complex(w)
-    most = 1
-    while True:
-        monkeypatch.setattr(whittaker, "SERIES_MAX_TERMS", most)
-        if isinstance(separate_sums(long, short, w, CONNECTION), tuple):
-            break
-        most += 1
-    assert most > 10
-    for budget in (most - 1, most):
-        monkeypatch.setattr(whittaker, "SERIES_MAX_TERMS", budget)
-        for first, second in ((long, short), (short, long)):
-            want = separate_sums(first, second, w, CONNECTION)
-            if budget < most:
-                assert want == separate_sums(long, long, w, CONNECTION)
-                assert f"did not converge in {budget} terms" in want
-            assert fused_sums(first, second, w, CONNECTION) == want
 
 
 # the most terms any one sum takes over the grid below, and that plus 10%
@@ -358,22 +276,15 @@ CONNECTION = "DLMF 15.8.4 sum in 1-z"
 
 def sums_taken(monkeypatch) -> list:
     """Record the name of every series hyp2f1 or the continuation check
-    sums from now on; the two series of a 15.8.4 pair, summed in one
-    loop, are recorded once each."""
+    sums from now on."""
     names = []
     series = whittaker._series
-    pair = whittaker._series_pair
 
     def recording(alpha, beta, gamma, z, name=MACLAURIN):
         names.append(name)
         return series(alpha, beta, gamma, z, name)
 
-    def recording_pair(first, second, z, name):
-        names.extend((name, name))
-        return pair(first, second, z, name)
-
     monkeypatch.setattr(whittaker, "_series", recording)
-    monkeypatch.setattr(whittaker, "_series_pair", recording_pair)
     return names
 
 
