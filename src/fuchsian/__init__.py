@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 
 class NumericalError(Exception):
     """A numerical breakdown on valid input (the CLI's exit 3), as
-    opposed to bad arguments. Each layer's numerical errors also keep
-    their historical base class (`ValueError` or `RuntimeError`).
+    opposed to bad arguments. Each layer's numerical errors also derive
+    from `ValueError`, their historical base class.
     """
 
 
@@ -29,30 +29,29 @@ _EXPORTS = {
     "disk_geometry": (
         "GeodesicArc",
         "HyperbolicPolygon",
-        "cross_ratio",
         "fundamental_polygon",
         "geodesic_apex",
         "geodesic_between",
         "polygon_area",
         "root_polygon",
-        "side_pairing_elliptic",
     ),
     "group_builder": (
         "FuchsianGroupSpec",
         "VerifyEntry",
         "VerifyReport",
         "boundary_generators",
+        "side_pairing_elliptic",
         "subgroup_generators",
         "verify_group",
     ),
     "moebius": (
-        "IDENTITY",
         "INFINITY",
         "MapClass",
         "MoebiusMap",
         "apply",
         "classify",
         "compose",
+        "cross_ratio",
         "inverse",
         "normalize",
     ),

@@ -3,10 +3,9 @@
 The package's geodesics are circular arcs meeting the unit circle at
 right angles (|center|^2 = 1 + radius^2). This module joins two ideal
 points by a geodesic, finds its apex (the point closest to the origin),
-constructs the order-2 elliptic map pairing a side with itself from its
-ideal endpoints and apex, builds the root polygon and the ideal
-fundamental polygon of a curve, and computes Gauss-Bonnet areas.
-`group_builder` writes the boundary half-turns from the sides.
+builds the root polygon and the ideal fundamental polygon of a curve,
+and computes Gauss-Bonnet areas. It holds no Moebius algebra and imports
+only `curves`: `group_builder` turns the sides into half-turns.
 
 Every side comes from one closed form, `_ideal_arc`: the geodesic whose
 endpoints lie at the angles phi -+ delta has center e^(i phi)/cos(delta)
@@ -34,12 +33,9 @@ import math
 from typing import NamedTuple
 
 from .curves import HyperellipticCurve, roots
-from .moebius import INFINITY, MoebiusMap, Point, _normalized
 
 COLLINEAR_TOL = 1e-9
 IDEAL_TOL = 1e-9
-ON_GEODESIC_TOL = 1e-6
-_THREE_POINTS = "side pairing needs three distinct points"
 
 
 class GeodesicArc(NamedTuple):
@@ -67,39 +63,6 @@ class HyperbolicPolygon(NamedTuple):
     vertices: tuple[complex, ...]
     sides: tuple[GeodesicArc, ...]
     ideal: tuple[bool, ...]
-
-
-def cross_ratio(z1: Point, z2: Point, z3: Point, z4: Point) -> complex:
-    """(z1-z2)(z3-z4) / ((z2-z3)(z4-z1)), with infinity by cancellation.
-
-    At most one argument may be INFINITY; the two factors containing it
-    are replaced by their limit ratio -1.
-    """
-    if z1 is INFINITY or z2 is INFINITY or z3 is INFINITY or z4 is INFINITY:
-        finite = [p for p in (z1, z2, z3, z4) if p is not INFINITY]
-        if (
-            len(finite) < 3
-            or finite[0] == finite[1]
-            or finite[0] == finite[2]
-            or finite[1] == finite[2]
-        ):
-            raise ValueError("coincident points in cross-ratio")
-        if z1 is INFINITY:
-            num, den = -(z3 - z4), (z2 - z3)
-        elif z2 is INFINITY:
-            num, den = -(z3 - z4), (z4 - z1)
-        elif z3 is INFINITY:
-            num, den = -(z1 - z2), (z4 - z1)
-        else:
-            num, den = -(z1 - z2), (z2 - z3)
-    else:
-        if z1 == z2 or z1 == z3 or z1 == z4 or z2 == z3 or z2 == z4 or z3 == z4:
-            raise ValueError("coincident points in cross-ratio")
-        num = (z1 - z2) * (z3 - z4)
-        den = (z2 - z3) * (z4 - z1)
-    if den == 0:
-        raise ValueError("cross-ratio denominator vanished")
-    return num / den
 
 
 def _ideal_arc(
@@ -156,33 +119,6 @@ def geodesic_apex(z1: complex, z2: complex) -> complex:
 def point_on_geodesic(z: complex, g: GeodesicArc) -> float:
     """Euclidean distance of z from the full circle of the geodesic."""
     return abs(abs(z - g.center) - g.radius)
-
-
-def side_pairing_elliptic(z1: complex, z2: complex, m: complex) -> MoebiusMap:
-    """Order-2 elliptic map swapping the ideal points z1 and z2 and
-    fixing m.
-
-    m must lie on the geodesic joining z1 and z2; the result is
-    normalized (det 1) with trace exactly 0, so it is an involution.
-    A zero determinant of the unnormalized entries is a numerical
-    breakdown (the three points are distinct and on one geodesic), so it
-    raises moebius.DegenerateMapError.
-    """
-    z1, z2, m = complex(z1), complex(z2), complex(m)
-    if z1 == z2:
-        # before geodesic_between, whose own error names coincidence
-        raise ValueError(_THREE_POINTS)
-    g = geodesic_between(z1, z2)
-    if m == z1 or m == z2:
-        raise ValueError(_THREE_POINTS)
-    if point_on_geodesic(m, g) > ON_GEODESIC_TOL:
-        raise ValueError("fixed point is not on the geodesic through the endpoints")
-    p = z1 * (m - z2) ** 2
-    q = z2 * (m - z1) ** 2
-    a = p - q
-    b = z2 * q - z1 * p
-    c = (m - z2) ** 2 - (m - z1) ** 2
-    return _normalized(a, b, c, -a)
 
 
 def polygon_area(poly: HyperbolicPolygon) -> float:

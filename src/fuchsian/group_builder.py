@@ -6,6 +6,10 @@ form); pair each side with the half-turn about its apex, written from
 the side's center (the boundary group); multiply a fixed side map
 (default the first) by every other one (the surface group). The 4g-sided
 ideal fundamental polygon is `disk_geometry.fundamental_polygon`.
+`side_pairing_elliptic` gives the half-turn about any point of a
+geodesic, from that point's modulus; the half-turns of both come from
+`moebius._half_turns`, so this layer turns the polygon layer's sides
+into maps and `disk_geometry` holds no Moebius algebra.
 
 The boundary group keeps the root polygon's sides, so no reader builds a
 side again. Each product is the plain matrix product of two determinant-1
@@ -32,7 +36,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .curves import HyperellipticCurve
-from .disk_geometry import GeodesicArc, root_polygon
+from .disk_geometry import (
+    GeodesicArc,
+    geodesic_between,
+    point_on_geodesic,
+    root_polygon,
+)
 from .moebius import (
     DegenerateMapError,
     MapClass,
@@ -53,6 +62,8 @@ from .moebius import (
 DET_TOL = 1e-12  # relative: see verify_group
 TRACE_TOL = 1e-8
 INVOLUTION_TOL = 1e-8
+ON_GEODESIC_TOL = 1e-6
+_THREE_POINTS = "side pairing needs three distinct points"
 
 
 @dataclass(frozen=True)
@@ -103,6 +114,32 @@ def boundary_generators(curve: HyperellipticCurve) -> FuchsianGroupSpec:
     scale = complex(0.0, -math.cos(delta) ** 2 / math.sin(delta))
     gens = _half_turns(a, scale, (side.center for side in sides))
     return FuchsianGroupSpec("boundary", tuple(gens), sides)
+
+
+def side_pairing_elliptic(z1: complex, z2: complex, m: complex) -> MoebiusMap:
+    """Order-2 elliptic map swapping the ideal points z1 and z2 and
+    fixing m: the half-turn about m.
+
+    m must lie on the geodesic joining z1 and z2. The half-turn about the
+    point at distance s from 0 in the direction m/r, r = |m| =
+    tanh(s/2), is (i cosh s, -i sinh s m/r; i sinh s conj(m)/r, -i cosh
+    s), with cosh s = (1 + r^2)/D, sinh s = 2r/D and D = (1 - r)(1 + r),
+    built by `moebius._half_turns`: det 1 and d == -a bit for bit, so it
+    is an involution. An m on the unit circle, which no half-turn fixes,
+    divides by D = 0.
+    """
+    z1, z2, m = complex(z1), complex(z2), complex(m)
+    if z1 == z2:
+        # before geodesic_between, whose own error names coincidence
+        raise ValueError(_THREE_POINTS)
+    g = geodesic_between(z1, z2)
+    if m == z1 or m == z2:
+        raise ValueError(_THREE_POINTS)
+    if point_on_geodesic(m, g) > ON_GEODESIC_TOL:
+        raise ValueError("fixed point is not on the geodesic through the endpoints")
+    r = abs(m)
+    den = (1.0 - r) * (1.0 + r)
+    return _half_turns(1j * (1.0 + r * r) / den, -2j / den, (m,))[0]
 
 
 def subgroup_generators(base: FuchsianGroupSpec, k: int = 1) -> FuchsianGroupSpec:

@@ -24,13 +24,15 @@ already hold complex entries and build through the private
 MoebiusMap._make, which skips the coercion but keeps the
 zero-determinant check; there a zero determinant comes from the
 arithmetic (underflow, or cancellation in an ill-conditioned map), so it
-raises DegenerateMapError, a numerical breakdown. Callers that need a
-normalized map without the map in between use the entry helper
-_normalized, which normalize wraps; _left_products multiplies one map
-by many, and compose is it on one map. _half_turns is the one place a
-half-turn's entries are written: both generator families of the package
-(group_builder.boundary_generators at s_b and
-whittaker.closed_form_generators at s_c) build through it.
+raises DegenerateMapError, a numerical breakdown. _left_products
+multiplies one map by many, and compose is it on one map. _half_turns
+is the one place a half-turn's entries are written: both generator
+families of the package (group_builder.boundary_generators at s_b and
+whittaker.closed_form_generators at s_c) and the side pairing
+group_builder.side_pairing_elliptic build through it.
+
+cross_ratio, the invariant these maps preserve, lives here too, so no
+other layer reads INFINITY.
 """
 
 from __future__ import annotations
@@ -253,25 +255,47 @@ def apply(m: MoebiusMap, z: Point) -> Point:
     return m.a / m.c
 
 
+def cross_ratio(z1: Point, z2: Point, z3: Point, z4: Point) -> complex:
+    """(z1-z2)(z3-z4) / ((z2-z3)(z4-z1)), with infinity by cancellation.
+
+    At most one argument may be INFINITY; the two factors containing it
+    are replaced by their limit ratio -1.
+    """
+    if z1 is INFINITY or z2 is INFINITY or z3 is INFINITY or z4 is INFINITY:
+        finite = [p for p in (z1, z2, z3, z4) if p is not INFINITY]
+        if (
+            len(finite) < 3
+            or finite[0] == finite[1]
+            or finite[0] == finite[2]
+            or finite[1] == finite[2]
+        ):
+            raise ValueError("coincident points in cross-ratio")
+        if z1 is INFINITY:
+            num, den = -(z3 - z4), (z2 - z3)
+        elif z2 is INFINITY:
+            num, den = -(z3 - z4), (z4 - z1)
+        elif z3 is INFINITY:
+            num, den = -(z1 - z2), (z4 - z1)
+        else:
+            num, den = -(z1 - z2), (z2 - z3)
+    else:
+        if z1 == z2 or z1 == z3 or z1 == z4 or z2 == z3 or z2 == z4 or z3 == z4:
+            raise ValueError("coincident points in cross-ratio")
+        num = (z1 - z2) * (z3 - z4)
+        den = (z2 - z3) * (z4 - z1)
+    if den == 0:
+        raise ValueError("cross-ratio denominator vanished")
+    return num / den
+
+
 def normalize(m: MoebiusMap) -> MoebiusMap:
     """Divide entries by a principal square root of det, giving det 1.
 
     The principal branch (argument in (-pi, pi]) makes the output
     deterministic; the projective action is unchanged.
     """
-    return _normalized(m.a, m.b, m.c, m.d)
-
-
-def _normalized(a: complex, b: complex, c: complex, d: complex) -> MoebiusMap:
-    """normalize() of the map (a, b; c, d), built with one MoebiusMap._make.
-
-    The entries may be computed ones that no map holds yet, so their own
-    determinant is checked first, as MoebiusMap._make would check it.
-    """
-    det = a * d - b * c
-    if det == 0:
-        raise DegenerateMapError(_DEGENERATE)
-    s = _det_root(det)
+    a, b, c, d = m.a, m.b, m.c, m.d
+    s = _det_root(a * d - b * c)
     return MoebiusMap._make(a / s, b / s, c / s, d / s)
 
 

@@ -453,6 +453,16 @@ def monodromy_zero(g: int) -> MoebiusMap:
     return MoebiusMap(cmath.exp(2j * math.pi * hde_params(g).a), 0, 0, 1)
 
 
+def monodromy_order_residual(g: int) -> float:
+    """|P.a/P.d - 1| for P = monodromy_zero(g)^(2g+1), built by repeated
+    compose: how far the loop map is from order 2g+1, 0 up to rounding."""
+    mono = monodromy_zero(g)
+    power = mono
+    for _ in range(2 * g):
+        power = compose(power, mono)
+    return abs(power.a / power.d - 1.0)
+
+
 def trig_identity_residuals(g: int) -> tuple[float, float]:
     """Residuals of the two phase identities
     (sin(ga pi) e^(-+ 2a pi i) - sin((g-1)a pi)) / sin(a pi)

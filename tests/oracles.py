@@ -2,6 +2,9 @@
 
 `fixed_points` solves the fixed-point equation of a Moebius map in
 closed form; the tests hold it against `apply` and `classify`.
+`three_point_pairing` writes the involution that swaps two points and
+fixes a third from the three points alone, the reference the tests hold
+the half-turns of `group_builder` against.
 `geodesic_between` joins any two points of the closed disk that are not
 collinear with the origin: two ideal points by the plain statement of
 `disk_geometry.geodesic_between`, which must build the same arcs bit
@@ -43,6 +46,18 @@ def fixed_points(m: MoebiusMap) -> list[Point]:
         return [(a - d) / (2 * c)]
     s = cmath.sqrt(disc)
     return [((a - d) + s) / (2 * c), ((a - d) - s) / (2 * c)]
+
+
+def three_point_pairing(z1: complex, z2: complex, m: complex) -> MoebiusMap:
+    """The involution (a, b; c, -a) swapping z1 and z2 and fixing m,
+    normalized: with p = z1 (m - z2)^2 and q = z2 (m - z1)^2, a = p - q,
+    b = z2 q - z1 p and c = (m - z2)^2 - (m - z1)^2."""
+    p = z1 * (m - z2) ** 2
+    q = z2 * (m - z1) ** 2
+    a = p - q
+    b = z2 * q - z1 * p
+    c = (m - z2) ** 2 - (m - z1) ** 2
+    return normalize(MoebiusMap(a, b, c, -a))
 
 
 def geodesic_between(z1: complex, z2: complex) -> GeodesicArc:

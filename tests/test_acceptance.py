@@ -12,7 +12,6 @@ import time
 
 from fuchsian.curves import HyperellipticCurve, fde_coefficient, roots
 from fuchsian.disk_geometry import (
-    cross_ratio,
     fundamental_polygon,
     geodesic_apex,
     geodesic_between,
@@ -25,6 +24,7 @@ from fuchsian.moebius import (
     apply,
     classify,
     compose,
+    cross_ratio,
     inverse,
     normalize,
 )

@@ -14,7 +14,6 @@ from fuchsian.curves import HyperellipticCurve
 from fuchsian.disk_geometry import (
     GeodesicArc,
     HyperbolicPolygon,
-    cross_ratio,
     fundamental_polygon,
     geodesic_apex,
     geodesic_between,
@@ -22,10 +21,9 @@ from fuchsian.disk_geometry import (
     point_on_geodesic,
     polygon_area,
     root_polygon,
-    side_pairing_elliptic,
 )
-from fuchsian.group_builder import boundary_generators
-from fuchsian.moebius import INFINITY, MoebiusMap, apply, compose
+from fuchsian.group_builder import boundary_generators, side_pairing_elliptic
+from fuchsian.moebius import INFINITY, MoebiusMap, apply, compose, cross_ratio
 from oracles import polygon_from_vertices
 
 
@@ -39,7 +37,7 @@ def ideal_point(rng: random.Random) -> complex:
     return cmath.exp(1j * rng.uniform(0, 2 * math.pi))
 
 
-# --- cross-ratio ---------------------------------------------------------
+# --- cross-ratio (moebius) -----------------------------------------------
 
 
 def test_cross_ratio_matches_direct_formula():
@@ -165,7 +163,7 @@ def test_apex_is_the_minimum_modulus_point():
         assert abs(on_arc) >= abs(apex) - 1e-12
 
 
-# --- side pairings -------------------------------------------------------
+# --- side pairings (group_builder) ---------------------------------------
 
 
 def test_side_pairing_swaps_endpoints_and_fixes_apex():

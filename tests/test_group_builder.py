@@ -18,6 +18,7 @@ from fuchsian.group_builder import (
     VerifyEntry,
     VerifyReport,
     boundary_generators,
+    side_pairing_elliptic,
     subgroup_generators,
     verify_group,
 )
@@ -27,7 +28,6 @@ from fuchsian.disk_geometry import (
     geodesic_apex,
     geodesic_between,
     polygon_area,
-    side_pairing_elliptic,
 )
 from fuchsian import moebius
 from fuchsian.moebius import (
@@ -43,6 +43,7 @@ from fuchsian.moebius import (
     classify,
     compose,
 )
+from oracles import three_point_pairing
 from test_moebius import (
     ILL_CONDITIONED_MAPS,
     outcome,
@@ -352,12 +353,22 @@ def reference_det_ok(gen: MoebiusMap, det_res: float) -> bool:
     return ratio <= 1 or not size_below(ratio)
 
 
+def modulus(z: complex) -> float:
+    """abs(z), or inf where abs() raises for finite parts past the
+    float range."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def reference_verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
     """verify_group with every check read off maps built by compose and
-    the normalized-map classification."""
+    the normalized-map classification; a modulus past the float range
+    reads inf."""
     entries = []
     for idx, gen in enumerate(spec.generators, start=1):
-        det_res = abs(gen.det - 1.0)
+        det_res = modulus(gen.det - 1.0)
         det_ok = reference_det_ok(gen, det_res)
         try:
             cls = reference_classify(gen)
@@ -369,11 +380,12 @@ def reference_verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
         if spec.kind == "boundary":
             sq = compose(gen, gen)
             inv_res = max(
-                abs(sq.a + 1.0), abs(sq.b), abs(sq.c), abs(sq.d + 1.0)
+                modulus(sq.a + 1.0), modulus(sq.b), modulus(sq.c),
+                modulus(sq.d + 1.0),
             )
             ok = (
                 det_ok
-                and abs(gen.trace) <= TRACE_TOL
+                and modulus(gen.trace) <= TRACE_TOL
                 and cls is MapClass.ELLIPTIC
                 and inv_res <= INVOLUTION_TOL
             )
@@ -581,6 +593,9 @@ def straddling_surface_specs(draw) -> FuchsianGroupSpec:
 @given(straddling_surface_specs())
 # x overflows and so does a/s: the normalized trace is infinite
 @example(FuchsianGroupSpec("surface", (MoebiusMap(1e300, 0, 0, 1e-320),)))
+# finite parts whose determinant, 1.5e308 (-1 + i), has a modulus past
+# the float range: |det - 1| reads inf and the class is unclassifiable
+@example(FuchsianGroupSpec("surface", (MoebiusMap(1.5e154j, 0, 0, 1e154 + 1e154j),)))
 def test_the_class_filter_agrees_with_the_exact_rule(spec):
     want = report_outcome(reference_verify_group, spec)
     assert report_outcome(verify_group, spec) == want
@@ -659,9 +674,10 @@ def test_boundary_and_subgroup_build_one_map_per_generator(monkeypatch):
 # the half-turn is (i cosh s_b, -i sinh s_b e^(i phi); i sinh s_b
 # e^(-i phi), -i cosh s_b), and e^(i phi) = cos(delta) C for the side's
 # center C. The group builder must give the same floats. The three-point
-# construction `side_pairing_elliptic(r_j, r_j+1, geodesic_apex(r_j,
-# r_j+1))` solves the side from its endpoints, so it gives the same maps
-# projectively.
+# construction `three_point_pairing(r_j, r_j+1, geodesic_apex(r_j,
+# r_j+1))` solves the side from its endpoints, and
+# `side_pairing_elliptic` writes the half-turn about the apex from its
+# modulus, so both give the same maps projectively.
 
 
 def reference_side(curve, j: int) -> GeodesicArc:
@@ -727,8 +743,10 @@ def test_generators_match_the_public_formulations_up_to_genus_60():
             assert base == reference_boundary_group(curve)
             for j, gen in enumerate(base.generators):
                 z1, z2 = rs[j], rs[(j + 1) % n]
-                solved = side_pairing_elliptic(z1, z2, geodesic_apex(z1, z2))
+                apex = geodesic_apex(z1, z2)
+                solved = three_point_pairing(z1, z2, apex)
                 assert projective_gap(gen, solved) <= 1e-13
+                assert projective_gap(gen, side_pairing_elliptic(z1, z2, apex)) <= 1e-13
             for k in range(1, 2 * g + 2):
                 got = group_outcome(subgroup_generators, base, k)
                 public = group_outcome(product_group, base, k, compose)

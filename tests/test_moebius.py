@@ -95,7 +95,13 @@ def reference_compose(m1: MoebiusMap, m2: MoebiusMap) -> MoebiusMap:
 
 def reference_normalize(m: MoebiusMap) -> MoebiusMap:
     det = m.det
-    if abs(det.imag) <= _DET_REAL_SNAP * abs(det):
+    try:
+        snap = abs(det.imag) <= _DET_REAL_SNAP * abs(det)
+    except OverflowError:
+        # a modulus past the float range: so large an imaginary part is
+        # not rounding noise
+        snap = False
+    if snap:
         det = complex(det.real, 0.0)
     s = cmath.sqrt(det)
     try:

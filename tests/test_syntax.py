@@ -183,3 +183,44 @@ def test_every_module_constant_is_read():
     assert constants
     readers = sorted(ROOT.glob("src/**/*.py")) + BENCHMARK + sorted(ROOT.glob("tests/*.py"))
     assert unread_names(constants, parse(readers)) == []
+
+
+# the layers each layer may import at module level; `from . import` (the
+# package root) does not count, and neither do the front ends `cli` and
+# `checks`, which sit above every layer
+LAYER_IMPORTS = {
+    "curves": set(),
+    "moebius": set(),
+    "tessellation": set(),
+    "disk_geometry": {"curves"},
+    "whittaker": {"moebius"},
+    "group_builder": {"curves", "disk_geometry", "moebius"},
+}
+
+
+def layer_imports(tree: ast.Module) -> set[str]:
+    """The package modules named by the module-level `from .x import` lines."""
+    return {
+        node.module.partition(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+    }
+
+
+def test_layer_import_scan_reads_only_module_level_relative_imports():
+    tree = ast.parse(
+        "from . import NumericalError\nfrom .moebius import compose\n"
+        "from fractions import Fraction\nfrom .curves.x import y\n"
+        "def f():\n    from .whittaker import hyp2f1\n"
+    )
+    assert layer_imports(tree) == {"curves", "moebius"}
+
+
+def test_each_layer_imports_only_the_layers_it_builds_on():
+    layers = {p.stem: p for p in PACKAGE if p.stem not in ("__init__", "cli", "checks")}
+    assert set(layers) == set(LAYER_IMPORTS)
+    got = {
+        name: layer_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for name, path in layers.items()
+    }
+    assert got == LAYER_IMPORTS
