@@ -20,15 +20,17 @@ Each command loads and compiles only the code it runs. `genus` and
 `tessellation` load the tessellation layer; `whittaker` moebius and
 whittaker; `render` curves and disk_geometry; `generators` those,
 moebius and group_builder, the one layer that imports `dataclasses`; and
-`verify` every layer plus the check suite in `fuchsian.checks`. The
-layers' value records are NamedTuples, which `to_json` would write as
-JSON lists, so the payloads copy the fields they report into dicts.
+`verify` every layer plus the check suite in `fuchsian.checks`. Only
+`--help`, argument errors and non-canonical spellings (see `_fast_parse`)
+load `argparse`. The layers' value records are NamedTuples, which
+`to_json` would write as JSON lists, so the payloads copy the fields
+they report into dicts.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import NumericalError
 
@@ -444,6 +446,8 @@ def run_verify(perturb: float = 0.0) -> tuple[int, str]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fuchsian",
         description=(
@@ -496,9 +500,50 @@ def _emit_json(doc: dict, json_out: str | None) -> None:
             fh.write(text)
 
 
+# `_build_parser`'s grammar: (type, default) per positional or long option,
+# default None if required; a choice's type raises KeyError off its choices.
+_SIGN = {"plus": "plus", "minus": "minus"}.__getitem__
+_GRAMMAR = {
+    "genus": {"m": (int, None), "n": (int, None)},
+    "generators": {"--genus": (int, None), "--sign": (_SIGN, None),
+                   "--fixed": (int, 1)},
+    "whittaker": {"--genus": (int, None)},
+    "tessellation": {"--degree": (int, None), "--genus": (int, None)},
+    "render": {"--genus": (int, None), "--sign": (_SIGN, None), "--out": (str, None)},
+    "verify": {"--perturb": (float, 0.0)},
+}
+
+
+def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
+    """The Namespace argparse would give a canonical argv, else None: an
+    optional `--json-out FILE`, the mode, then its positionals or exact
+    long option names each followed by its value, all required ones given.
+    Any other argv, such as a value starting with "-", is argparse's.
+    """
+    head = 2 if argv[:1] == ["--json-out"] else 0
+    mode, *rest = argv[head:] or [None]
+    grammar = _GRAMMAR.get(mode)
+    if grammar is None or head and argv[1].startswith("-"):
+        return None
+    names, values = (grammar, rest) if mode == "genus" else (rest[::2], rest[1::2])
+    if len(names) != len(values):
+        return None
+    args = {name.lstrip("-"): default for name, (_, default) in grammar.items()}
+    for name, value in zip(names, values):
+        if value.startswith("-"):
+            return None
+        try:
+            args[name.lstrip("-")] = grammar[name][0](value)
+        except (KeyError, ValueError):
+            return None
+    if None in args.values():  # a required option is missing
+        return None
+    return SimpleNamespace(json_out=argv[1] if head else None, mode=mode, **args)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _fast_parse(argv) or _build_parser().parse_args(argv)
     try:
         if args.mode == "genus":
             _emit_json(run_genus(args.m, args.n), args.json_out)

@@ -125,8 +125,8 @@ def side_pairing_elliptic(z1: complex, z2: complex, m: complex) -> MoebiusMap:
     tanh(s/2), is (i cosh s, -i sinh s m/r; i sinh s conj(m)/r, -i cosh
     s), with cosh s = (1 + r^2)/D, sinh s = 2r/D and D = (1 - r)(1 + r),
     built by `moebius._half_turns`: det 1 and d == -a bit for bit, so it
-    is an involution. An m on the unit circle, which no half-turn fixes,
-    divides by D = 0.
+    is an involution. An m on the unit circle (|m| == 1.0, so D == 0) is
+    an ideal point, which no half-turn fixes: a ValueError.
     """
     z1, z2, m = complex(z1), complex(z2), complex(m)
     if z1 == z2:
@@ -139,6 +139,8 @@ def side_pairing_elliptic(z1: complex, z2: complex, m: complex) -> MoebiusMap:
         raise ValueError("fixed point is not on the geodesic through the endpoints")
     r = abs(m)
     den = (1.0 - r) * (1.0 + r)
+    if den == 0.0:
+        raise ValueError(f"fixed point {m} is ideal: no half-turn fixes it")
     return _half_turns(1j * (1.0 + r * r) / den, -2j / den, (m,))[0]
 
 

@@ -1,13 +1,16 @@
 """Tests for the command-line interface: JSON determinism, payload
 shape, the SVG renderer, the verify suite, and exit codes."""
 
+import contextlib
 import enum
+import io
 import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import json_reference
 from fuchsian import NumericalError, checks, cli, curves, disk_geometry, whittaker
@@ -19,6 +22,7 @@ from fuchsian.moebius import (
     NonRealTraceError,
     normalize,
 )
+from test_golden import GOLDEN_STDERR, GOLDEN_STDOUT
 
 
 def run_cli(*args):
@@ -385,6 +389,159 @@ def test_verify_large_perturbation_breaks_traces_too(capsys):
     out = capsys.readouterr().out
     assert "FAIL example_generator_entries" in out
     assert "FAIL example_trace_regression" in out
+
+
+# --- argv reading -----------------------------------------------------------
+
+PARSER = cli._build_parser()
+
+
+def argparse_fields(tokens) -> dict | None:
+    """vars() of argparse's Namespace for tokens, or None where it exits."""
+    quiet = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+            return vars(PARSER.parse_args(tokens))
+    except SystemExit:
+        return None
+
+
+def fields_repr(fields: dict) -> dict:
+    # repr keeps nan equal to itself and -0.0 apart from 0.0
+    return {k: repr(v) for k, v in fields.items()}
+
+
+# each mode's long options as `_build_parser` declares them (genus takes
+# two ints instead), and the values each one reads
+MODE_OPTIONS = {
+    "genus": [],
+    "generators": ["--genus", "--sign", "--fixed"],
+    "whittaker": ["--genus"],
+    "tessellation": ["--degree", "--genus"],
+    "render": ["--genus", "--sign", "--out"],
+    "verify": ["--perturb"],
+}
+MODES = list(MODE_OPTIONS)
+OPTIONS = ["--genus", "--sign", "--fixed", "--degree", "--out", "--perturb"]
+JUNK = [
+    "-h", "--help", "--gen", "--genus=2", "--sign=minus", "-1e-2", "-0.01",
+    "--", "", "-", "-5", "nan", "1e3", " 2", "2_0", "sideways", "fuchsian",
+]
+INT = st.integers(-3, 90).map(str)
+FLOAT = st.floats(width=32).map(str)
+TOKEN = st.sampled_from(
+    MODES + OPTIONS + JUNK + ["--json-out", "plus", "minus", "out.json"]
+) | INT | FLOAT
+TYPED_VALUE = {"--sign": st.sampled_from(["plus", "minus"]),
+               "--out": st.just("out.svg"), "--perturb": FLOAT}
+
+
+@st.composite
+def near_canonical(draw) -> list[str]:
+    """A mode with its own options, in any order, perhaps one dropped and
+    one other added, each mostly followed by a value of its type, after
+    an optional --json-out."""
+    mode = draw(st.sampled_from(MODES))
+    argv = draw(st.sampled_from(
+        [[], ["--json-out", "out.json"], ["--json-out", ""], ["--json-out", "-"],
+         ["--json-out", "-1e-2"]]
+    )) + [mode]
+    if mode == "genus":
+        return argv + draw(st.lists(INT, min_size=2, max_size=2) | st.lists(TOKEN))
+    names = draw(st.permutations(MODE_OPTIONS[mode]))
+    # hypothesis leans to the low end of a range: a draw of 3 is the rare case
+    if draw(st.integers(0, 3)) == 3:
+        names.pop()
+    if draw(st.integers(0, 3)) == 3:
+        names.append(draw(st.sampled_from(OPTIONS + JUNK[:5])))
+    for name in names:
+        typed = draw(st.integers(0, 3)) < 3
+        argv += [name, draw(TYPED_VALUE.get(name, INT) if typed else TOKEN)]
+    return argv
+
+
+ARGV = st.lists(TOKEN, max_size=8) | near_canonical()
+
+
+@settings(max_examples=600, deadline=None)
+@given(ARGV)
+@example(["verify", "--perturb", "-1e-2"])
+@example(["verify", "--perturb", "-0.01"])
+@example(["generators", "--gen", "2", "--sign", "minus"])
+@example(["generators", "--genus=2", "--sign=minus", "--fixed=2"])
+@example(["--json-out"])
+@example(["--json-out", "--help", "verify"])
+@example(["generators", "--genus", "2", "--sign", "sideways", "--sign", "plus"])
+@example(["generators", "--genus", "2", "--sign", "plus", "stray"])
+@example(["genus", "4", "-4"])
+@example(["--json-out", "", "genus", " 4", "2_0"])
+def test_fast_parse_agrees_with_argparse(tokens):
+    fast = cli._fast_parse(tokens)
+    slow = argparse_fields(tokens)
+    # every argv argparse rejects (or answers with help) goes to argparse,
+    # so its usage line, message and exit code are the only ones printed
+    if slow is None:
+        assert fast is None
+    if fast is not None:
+        assert fields_repr(vars(fast)) == fields_repr(slow)
+
+
+BENCHMARK_SPELLINGS = [
+    ["--json-out", "out.json", "generators", "--genus", "7", "--sign", "plus",
+     "--fixed", "3"],
+    ["--json-out", "out.json", "genus", "12", "2"],
+    ["render", "--genus", "9", "--sign", "minus", "--out", "out.svg"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", [list(argv) for argv in (*GOLDEN_STDOUT, *GOLDEN_STDERR)]
+    + BENCHMARK_SPELLINGS,
+)
+def test_canonical_spellings_take_the_fast_path(argv):
+    fast = cli._fast_parse(argv)
+    assert fast is not None
+    assert fields_repr(vars(fast)) == fields_repr(argparse_fields(argv))
+
+
+def main_exit(argv) -> int:
+    """main's exit code, argparse's SystemExit included."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# argvs that argparse reads and `_fast_parse` leaves to it, with the exit
+# code they had before the fast path existed
+FALLBACK_SPELLINGS = [
+    (["verify", "--perturb", "-1e-2"], 2),  # argparse reads -1e-2 as an option
+    (["verify", "--perturb", "-0.01"], 1),
+    (["generators", "--gen", "2", "--sign", "minus"], 0),
+    (["generators", "--genus=2", "--sign=minus", "--fixed=2"], 0),
+    (["--json-out"], 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code", FALLBACK_SPELLINGS,
+    ids=[" ".join(argv) for argv, _ in FALLBACK_SPELLINGS],
+)
+def test_fallback_spellings_keep_their_outcomes(argv, code, capsys):
+    assert cli._fast_parse(argv) is None
+    assert main_exit(argv) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == ""
+        assert err.startswith("usage: fuchsian")
+        assert err.splitlines()[-1].startswith("fuchsian")
+    elif code == 1:
+        assert out.splitlines()[-1] == "FAILED: 17/18 checks passed"
+    else:
+        canonical = ["generators", "--genus", "2", "--sign", "minus",
+                     "--fixed", "2" if "--fixed=2" in argv else "1"]
+        assert cli.main(canonical) == 0
+        assert capsys.readouterr().out == out
 
 
 # --- exit codes ------------------------------------------------------------

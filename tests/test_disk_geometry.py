@@ -199,6 +199,15 @@ def test_side_pairing_requires_fixed_point_on_geodesic():
             side_pairing_elliptic(*points)
 
 
+def test_side_pairing_rejects_an_ideal_fixed_point():
+    # |m| == 1.0 as a float, within ON_GEODESIC_TOL of the geodesic and
+    # distinct from both endpoints: D = (1 - |m|)(1 + |m|) is 0
+    z1, z2, m = cmath.exp(0.4j), cmath.exp(1.9j), cmath.exp(1j * (0.4 + 1e-9))
+    assert abs(m) == 1.0
+    with pytest.raises(ValueError, match="is ideal: no half-turn fixes it"):
+        side_pairing_elliptic(z1, z2, m)
+
+
 def test_side_pairing_frozen_first_generator():
     # genus 2, sign -1: side joining the first two fifth roots of unity
     z1 = cmath.exp(2j * math.pi / 5)

@@ -1,6 +1,7 @@
 """Lazy loading: `import fuchsian` loads no layer, each CLI command loads
-only the layers it uses, and every exported name still resolves to the
-object its defining module holds."""
+only the layers it uses and, spelled canonically, no `argparse`, and
+every exported name still resolves to the object its defining module
+holds."""
 
 import importlib
 import subprocess
@@ -16,8 +17,9 @@ DISK = {"curves", "disk_geometry"}
 GEOMETRY = DISK | {"group_builder", "moebius"}
 
 
-def imported_modules(*args):
-    """Exit code and the names of the modules a fresh interpreter imported.
+def run_importtime(*args):
+    """A fresh interpreter's finished process and the names of the modules
+    it imported.
 
     `-X importtime` lists every module a process imports on stderr, one
     `import time: self | cumulative | name` line each.
@@ -31,6 +33,12 @@ def imported_modules(*args):
     for line in result.stderr.splitlines():
         if line.startswith("import time:"):
             names.add(line.rsplit("|", 1)[1].strip())
+    return result, names
+
+
+def imported_modules(*args):
+    """Exit code and the names of the modules a fresh interpreter imported."""
+    result, names = run_importtime(*args)
     return result.returncode, names
 
 
@@ -91,6 +99,32 @@ def test_no_command_imports_json(argv, tmp_path):
     _, names = imported_modules("-m", "fuchsian.cli", *argv)
     assert "fuchsian" in names
     assert "json" not in names
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _, _ in COMMANDS], ids=[" ".join(argv) for argv, _, _ in COMMANDS]
+)
+def test_canonical_commands_load_neither_argparse_nor_gettext(argv, tmp_path):
+    # main reads a canonical argv itself; argparse (and gettext, which it
+    # imports) is only for help, argument errors and other spellings
+    argv = [a.format(out=tmp_path / "f.svg") for a in argv]
+    _, names = imported_modules("-m", "fuchsian.cli", *argv)
+    assert "fuchsian" in names
+    assert not {"argparse", "gettext"} & names
+
+
+def test_a_rejected_argv_still_gets_argparse_usage_and_exit_two():
+    result, names = run_importtime(
+        "-m", "fuchsian.cli", "generators", "--genus", "2", "--sign", "sideways"
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert any(
+        line.startswith("usage: fuchsian generators")
+        for line in result.stderr.splitlines()
+    )
+    # the pins above would see argparse had it been loaded
+    assert {"argparse", "gettext"} <= names
 
 
 def test_every_exported_name_is_its_defining_modules_object():
