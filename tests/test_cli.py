@@ -412,7 +412,7 @@ def fields_repr(fields: dict) -> dict:
 
 
 # each mode's long options as `_build_parser` declares them (genus takes
-# two ints instead), and the values each one reads
+# two ints instead)
 MODE_OPTIONS = {
     "genus": [],
     "generators": ["--genus", "--sign", "--fixed"],
@@ -486,17 +486,20 @@ def test_fast_parse_agrees_with_argparse(tokens):
         assert fields_repr(vars(fast)) == fields_repr(slow)
 
 
+# the golden argvs and argvs laid out like the benchmark's cli_mix requests
 BENCHMARK_SPELLINGS = [
     ["--json-out", "out.json", "generators", "--genus", "7", "--sign", "plus",
      "--fixed", "3"],
     ["--json-out", "out.json", "genus", "12", "2"],
     ["render", "--genus", "9", "--sign", "minus", "--out", "out.svg"],
 ]
+CANONICAL_SPELLINGS = [
+    list(argv) for argv in (*GOLDEN_STDOUT, *GOLDEN_STDERR)
+] + BENCHMARK_SPELLINGS
 
 
 @pytest.mark.parametrize(
-    "argv", [list(argv) for argv in (*GOLDEN_STDOUT, *GOLDEN_STDERR)]
-    + BENCHMARK_SPELLINGS,
+    "argv", CANONICAL_SPELLINGS, ids=[" ".join(argv) for argv in CANONICAL_SPELLINGS]
 )
 def test_canonical_spellings_take_the_fast_path(argv):
     fast = cli._fast_parse(argv)
