@@ -21,10 +21,11 @@ Each command loads and compiles only the code it runs. `genus` and
 whittaker; `render` curves and disk_geometry; `generators` those,
 moebius and group_builder, the one layer that imports `dataclasses`; and
 `verify` every layer plus the check suite in `fuchsian.checks`. Only
-`--help`, argument errors and non-canonical spellings (see `_fast_parse`)
-load `argparse`. The layers' value records are NamedTuples, which
-`to_json` would write as JSON lists, so the payloads copy the fields
-they report into dicts.
+`--help`, argument errors and non-canonical spellings (see
+`_fast_parse`) load `argparse`; both readers take their grammar from
+`_COMMANDS`. The layers' value records are NamedTuples, which `to_json`
+would write as JSON lists, so the payloads copy the fields they report
+into dicts.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ def run_whittaker(g: int) -> dict:
                 "raw": _matrix(raw),
                 "raw_det": _cpair(raw.det),
                 "normalized": _matrix(norm),
-                "class": classify(norm).value,
+                "class": classify(norm),
             }
         )
     products = [
@@ -295,7 +296,7 @@ def run_whittaker(g: int) -> dict:
             "pair": [j + 2, 1],
             "matrix": _matrix(prod),
             "abs_trace": abs(prod.trace),
-            "class": classify(prod).value,
+            "class": classify(prod),
         }
         for j, prod in enumerate(whittaker_subgroup(normalized))
     ]
@@ -445,6 +446,30 @@ def run_verify(perturb: float = 0.0) -> tuple[int, str]:
 # argument handling
 
 
+# Each mode's help and the keywords argparse declares each of its
+# positionals or long options with: the grammar of both argv readers.
+_INT = {"type": int, "required": True}
+_SIGN = {"choices": ("plus", "minus"), "required": True}
+_COMMANDS = {
+    "genus": ("genus range of K_{m,n} plus per-genus tessellations",
+              {"m": {"type": int}, "n": {"type": int}}),
+    "generators": ("boundary side maps and the surface subgroup", {
+        "--genus": _INT, "--sign": _SIGN,
+        "--fixed": {
+            "type": int, "default": 1, "metavar": "K",
+            "help": "1-based index of the fixed side map (default %(default)s)"}}),
+    "whittaker": ("closed-form generators and connection identities", {"--genus": _INT}),
+    "tessellation": ("{p, q} for a covered degree family",
+                     {"--degree": _INT, "--genus": _INT}),
+    "render": ("SVG figure of the fundamental region", {
+        "--genus": _INT, "--sign": _SIGN,
+        "--out": {"required": True, "metavar": "FILE.svg"}}),
+    "verify": ("run the full invariant suite", {"--perturb": {
+        "type": float, "default": 0.0,
+        "help": "test hook: bend one generator entry by EPS to force failure"}}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     import argparse
 
@@ -462,32 +487,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write JSON output to FILE instead of stdout",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-
-    p = sub.add_parser("genus", help="genus range of K_{m,n} plus per-genus tessellations")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-
-    p = sub.add_parser("generators", help="boundary side maps and the surface subgroup")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--sign", choices=("plus", "minus"), required=True)
-    p.add_argument("--fixed", type=int, default=1, metavar="K",
-                   help="1-based index of the fixed side map (default 1)")
-
-    p = sub.add_parser("whittaker", help="closed-form generators and connection identities")
-    p.add_argument("--genus", type=int, required=True)
-
-    p = sub.add_parser("tessellation", help="{p, q} for a covered degree family")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--genus", type=int, required=True)
-
-    p = sub.add_parser("render", help="SVG figure of the fundamental region")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--sign", choices=("plus", "minus"), required=True)
-    p.add_argument("--out", required=True, metavar="FILE.svg")
-
-    p = sub.add_parser("verify", help="run the full invariant suite")
-    p.add_argument("--perturb", type=float, default=0.0,
-                   help="test hook: bend one generator entry by EPS to force failure")
+    for mode, (help_text, grammar) in _COMMANDS.items():
+        p = sub.add_parser(mode, help=help_text)
+        for name, keywords in grammar.items():
+            p.add_argument(name, **keywords)
     return parser
 
 
@@ -500,20 +503,6 @@ def _emit_json(doc: dict, json_out: str | None) -> None:
             fh.write(text)
 
 
-# `_build_parser`'s grammar: (type, default) per positional or long option,
-# default None if required; a choice's type raises KeyError off its choices.
-_SIGN = {"plus": "plus", "minus": "minus"}.__getitem__
-_GRAMMAR = {
-    "genus": {"m": (int, None), "n": (int, None)},
-    "generators": {"--genus": (int, None), "--sign": (_SIGN, None),
-                   "--fixed": (int, 1)},
-    "whittaker": {"--genus": (int, None)},
-    "tessellation": {"--degree": (int, None), "--genus": (int, None)},
-    "render": {"--genus": (int, None), "--sign": (_SIGN, None), "--out": (str, None)},
-    "verify": {"--perturb": (float, 0.0)},
-}
-
-
 def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
     """The Namespace argparse would give a canonical argv, else None: an
     optional `--json-out FILE`, the mode, then its positionals or exact
@@ -522,20 +511,26 @@ def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
     """
     head = 2 if argv[:1] == ["--json-out"] else 0
     mode, *rest = argv[head:] or [None]
-    grammar = _GRAMMAR.get(mode)
+    _, grammar = _COMMANDS.get(mode, (None, None))
     if grammar is None or head and argv[1].startswith("-"):
         return None
-    names, values = (grammar, rest) if mode == "genus" else (rest[::2], rest[1::2])
+    positionals = [name for name in grammar if name[0] != "-"]
+    names, values = (positionals, rest) if positionals else (rest[::2], rest[1::2])
     if len(names) != len(values):
         return None
-    args = {name.lstrip("-"): default for name, (_, default) in grammar.items()}
+    # an argument without a default is required: None until given
+    args = {name.lstrip("-"): kw.get("default") for name, kw in grammar.items()}
     for name, value in zip(names, values):
-        if value.startswith("-"):
+        kw = grammar.get(name)
+        if kw is None or value.startswith("-"):
             return None
         try:
-            args[name.lstrip("-")] = grammar[name][0](value)
-        except (KeyError, ValueError):
+            value = kw.get("type", str)(value)
+        except ValueError:
             return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        args[name.lstrip("-")] = value
     if None in args.values():  # a required option is missing
         return None
     return SimpleNamespace(json_out=argv[1] if head else None, mode=mode, **args)

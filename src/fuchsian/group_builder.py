@@ -217,9 +217,7 @@ def verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
             try:
                 cls = _entries_class(a, b, c, d, det)
             except ValueError:
-                pass
-        # the member's value, read past Enum's `value` descriptor
-        cls_name = "unclassifiable" if cls is None else cls._value_
+                cls = "unclassifiable"
         if boundary:
             if d == -a:
                 # Every half-turn has d == -a. Then a*b + b*(-a) and
@@ -255,7 +253,7 @@ def verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
         entries.append(
             _new_entry(
                 VerifyEntry,
-                (f"{kind}[{idx}]", det_res, trace, cls_name, inv_res, ok),
+                (f"{kind}[{idx}]", det_res, trace, cls, inv_res, ok),
             )
         )
     return VerifyReport(tuple(entries), passed)

@@ -38,7 +38,6 @@ other layer reads INFINITY.
 from __future__ import annotations
 
 import cmath
-from enum import Enum
 
 from . import NumericalError
 
@@ -104,7 +103,9 @@ INFINITY = _Infinity()
 Point = complex | _Infinity
 
 
-class MapClass(Enum):
+class MapClass:
+    """The isometry classes `classify` returns, as the strings reports print."""
+
     ELLIPTIC = "elliptic"
     PARABOLIC = "parabolic"
     HYPERBOLIC = "hyperbolic"
@@ -312,7 +313,7 @@ def _det_root(det: complex) -> complex:
     return cmath.sqrt(det)
 
 
-def classify(m: MoebiusMap) -> MapClass:
+def classify(m: MoebiusMap) -> str:
     """Trace classification of the normalized map.
 
     Raises NonRealTraceError (a ValueError) when the normalized trace is
@@ -325,7 +326,7 @@ def classify(m: MoebiusMap) -> MapClass:
 
 def _entries_class(
     a: complex, b: complex, c: complex, d: complex, det: complex
-) -> MapClass:
+) -> str:
     """classify() of the map (a, b; c, d) with det = a*d - b*c.
 
     The trace of normalize()'s map is formed from the same quotients,

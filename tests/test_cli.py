@@ -1,6 +1,7 @@
 """Tests for the command-line interface: JSON determinism, payload
 shape, the SVG renderer, the verify suite, and exit codes."""
 
+import argparse
 import contextlib
 import enum
 import io
@@ -393,7 +394,71 @@ def test_verify_large_perturbation_breaks_traces_too(capsys):
 
 # --- argv reading -----------------------------------------------------------
 
-PARSER = cli._build_parser()
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The parser as written out by hand before the CLI built it from its
+    grammar table, kept as the oracle that table is held to."""
+    parser = argparse.ArgumentParser(
+        prog="fuchsian",
+        description=(
+            "Uniformizing group generators, disk geometry, and hyperbolic "
+            "tessellations for the curves y^2 = z^(2g+1) +/- 1."
+        ),
+    )
+    parser.add_argument(
+        "--json-out",
+        metavar="FILE",
+        default=None,
+        help="write JSON output to FILE instead of stdout",
+    )
+    sub = parser.add_subparsers(dest="mode", required=True)
+
+    p = sub.add_parser("genus", help="genus range of K_{m,n} plus per-genus tessellations")
+    p.add_argument("m", type=int)
+    p.add_argument("n", type=int)
+
+    p = sub.add_parser("generators", help="boundary side maps and the surface subgroup")
+    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--sign", choices=("plus", "minus"), required=True)
+    p.add_argument("--fixed", type=int, default=1, metavar="K",
+                   help="1-based index of the fixed side map (default 1)")
+
+    p = sub.add_parser("whittaker", help="closed-form generators and connection identities")
+    p.add_argument("--genus", type=int, required=True)
+
+    p = sub.add_parser("tessellation", help="{p, q} for a covered degree family")
+    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--genus", type=int, required=True)
+
+    p = sub.add_parser("render", help="SVG figure of the fundamental region")
+    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--sign", choices=("plus", "minus"), required=True)
+    p.add_argument("--out", required=True, metavar="FILE.svg")
+
+    p = sub.add_parser("verify", help="run the full invariant suite")
+    p.add_argument("--perturb", type=float, default=0.0,
+                   help="test hook: bend one generator entry by EPS to force failure")
+    return parser
+
+
+PARSER = reference_parser()
+
+
+def subparsers(parser: argparse.ArgumentParser) -> dict:
+    """Each mode's subparser, in the order they were added."""
+    (action,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def test_the_table_built_parser_prints_the_reference_help_and_usage():
+    built = cli._build_parser()
+    assert list(subparsers(built)) == list(subparsers(PARSER))
+    pairs = [(built, PARSER), *zip(subparsers(built).values(), subparsers(PARSER).values())]
+    for got, want in pairs:
+        assert got.format_help() == want.format_help()
+        assert got.format_usage() == want.format_usage()
 
 
 def argparse_fields(tokens) -> dict | None:
@@ -411,8 +476,8 @@ def fields_repr(fields: dict) -> dict:
     return {k: repr(v) for k, v in fields.items()}
 
 
-# each mode's long options as `_build_parser` declares them (genus takes
-# two ints instead)
+# each mode's long options as the reference parser declares them (genus
+# takes two ints instead)
 MODE_OPTIONS = {
     "genus": [],
     "generators": ["--genus", "--sign", "--fixed"],
@@ -461,6 +526,15 @@ def near_canonical(draw) -> list[str]:
 
 
 ARGV = st.lists(TOKEN, max_size=8) | near_canonical()
+
+
+def test_mode_options_are_the_long_options_of_the_command_table():
+    # an option added to the table is then drawn by `near_canonical` too
+    table = {
+        mode: [name for name in grammar if name.startswith("--")]
+        for mode, (_, grammar) in cli._COMMANDS.items()
+    }
+    assert list(MODE_OPTIONS.items()) == list(table.items())
 
 
 @settings(max_examples=600, deadline=None)

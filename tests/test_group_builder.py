@@ -372,10 +372,8 @@ def reference_verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
         det_ok = reference_det_ok(gen, det_res)
         try:
             cls = reference_classify(gen)
-            cls_name = cls.value
         except ValueError:
-            cls = None
-            cls_name = "unclassifiable"
+            cls = "unclassifiable"
         inv_res = None
         if spec.kind == "boundary":
             sq = compose(gen, gen)
@@ -396,7 +394,7 @@ def reference_verify_group(spec: FuchsianGroupSpec) -> VerifyReport:
                 label=f"{spec.kind}[{idx}]",
                 det_residual=det_res,
                 trace=gen.trace,
-                map_class=cls_name,
+                map_class=cls,
                 involution_residual=inv_res,
                 passed=ok,
             )
